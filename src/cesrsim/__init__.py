@@ -1,58 +1,4 @@
 """Discrete-event simulator for cooperative energy-saving routing in
 multi-interface infrastructure wireless networks."""
 
-from .config import ConfigError, Mode, SimConfig, load_config, parse_config
-from .energy import (
-    DEFAULT_PROFILES,
-    EnergyLedger,
-    InterfaceKind,
-    PowerProfile,
-    RadioState,
-    energy_per_bit,
-    total_energy,
-)
-from .metrics import (
-    EfficiencyReport,
-    GainReport,
-    MismatchedRunSetError,
-    ZeroDeliveryError,
-    energy_efficiency,
-    gain,
-)
-from .mobility import MobilityParams, MobilityState, advance_all, gm_step, init_states, reflect
-from .plans import ExperimentPlan, SweepRow, load_plan, parse_plan, run_point, run_sweep
-from .routing import Beacon, ForwardDecision, NeighborTable, NodeRoutingState
-from .scenario import (
-    Area,
-    ExhaustedAttemptsError,
-    MtClass,
-    Position,
-    RateProfile,
-    Scenario,
-    ScenarioError,
-    ScenarioNode,
-    connectivity_graph,
-    generate_scenario,
-    is_fully_connected,
-    load_scenario,
-    place_random,
-    save_scenario,
-)
-from .simcore import RunStats, Simulator, run
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Area", "Beacon", "ConfigError", "DEFAULT_PROFILES", "EfficiencyReport",
-    "EnergyLedger", "ExhaustedAttemptsError", "ExperimentPlan",
-    "ForwardDecision", "GainReport", "InterfaceKind", "MismatchedRunSetError",
-    "MobilityParams", "MobilityState", "Mode", "MtClass", "NeighborTable",
-    "NodeRoutingState", "Position", "PowerProfile", "RadioState",
-    "RateProfile", "RunStats", "Scenario", "ScenarioError", "ScenarioNode",
-    "SimConfig", "Simulator", "SweepRow", "ZeroDeliveryError", "advance_all",
-    "connectivity_graph", "energy_efficiency", "energy_per_bit", "gain",
-    "generate_scenario", "gm_step", "init_states", "is_fully_connected",
-    "load_config", "load_plan", "load_scenario", "parse_config", "parse_plan",
-    "place_random", "reflect", "run", "run_point", "run_sweep",
-    "save_scenario", "total_energy",
-]

@@ -8,7 +8,7 @@ from enum import Enum
 import yaml
 
 from .energy import DEFAULT_PROFILES, InterfaceKind, PowerProfile
-from .mobility import MobilityParams
+from .mobility import MobilityParams, is_finite_number
 from .scenario import RateProfile
 
 
@@ -19,6 +19,29 @@ class ConfigError(ValueError):
 class Mode(Enum):
     BENCHMARK = "benchmark"
     COOPERATIVE = "cooperative"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# SimConfig field -> (type check, what the error message asks for)
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("runs", "packet_size", "beacon_size", "hop_budget",
+         "uplink_queue_cap_per_node", "sr_queue_cap", "master_seed"),
+        (_is_int, "an integer"),
+    ),
+    **dict.fromkeys(
+        ("duration", "beacon_period", "table_timeout", "cbr_rate", "tx_range",
+         "cs_range_factor", "contention_slot"),
+        (is_finite_number, "a finite number"),
+    ),
+    **dict.fromkeys(
+        ("class_a_generates", "beacon_energy_counted"),
+        (lambda value: isinstance(value, bool), "true or false"),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -53,6 +76,14 @@ class SimConfig:
     )
 
     def __post_init__(self):
+        for name, (ok, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value) and not (value is None and name in ("hop_budget", "table_timeout")):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if self.table_timeout is None:
+            object.__setattr__(self, "table_timeout", 3.0 * self.beacon_period)
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         if self.duration <= 0:
             raise ConfigError("duration must be > 0")
         if self.runs < 1:
@@ -71,8 +102,6 @@ class SimConfig:
             raise ConfigError("cs_range_factor must be >= 1 (sensing cannot be shorter than delivery)")
         if self.contention_slot < 0:
             raise ConfigError("contention_slot must be >= 0")
-        if self.table_timeout is None:
-            object.__setattr__(self, "table_timeout", 3.0 * self.beacon_period)
         if self.table_timeout <= 0:
             raise ConfigError("table_timeout must be > 0")
         if self.hop_budget is not None and self.hop_budget < 1:

@@ -72,7 +72,7 @@ class EnergyLedger:
     All interfaces start in IDLE at ``start_time``.
     """
 
-    __slots__ = ("interfaces", "seconds", "current_state", "last_transition", "closed")
+    __slots__ = ("interfaces", "seconds", "current_state", "last_transition")
 
     def __init__(self, interfaces: tuple[InterfaceKind, ...], start_time: float = 0.0):
         self.interfaces = tuple(interfaces)
@@ -85,7 +85,6 @@ class EnergyLedger:
         self.last_transition: dict[InterfaceKind, float] = {
             iface: start_time for iface in self.interfaces
         }
-        self.closed = False
 
     def transition_state(self, iface: InterfaceKind, new_state: RadioState, now: float) -> None:
         """Credit elapsed time to the previous state, then switch.
@@ -104,7 +103,6 @@ class EnergyLedger:
         """Credit all remaining time up to ``now``; the run is over."""
         for iface in self.interfaces:
             self.transition_state(iface, self.current_state[iface], now)
-        self.closed = True
 
     def state_seconds(self, iface: InterfaceKind, state: RadioState) -> float:
         return self.seconds[iface][state]

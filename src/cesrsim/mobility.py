@@ -22,6 +22,12 @@ import numpy as np
 from .scenario import Area, Position
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; bools and strings are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class MobilityParams:
     alpha: float = 0.5
@@ -31,6 +37,10 @@ class MobilityParams:
     update_interval: float = 1.0        # seconds
 
     def __post_init__(self):
+        for name in ("alpha", "mean_speed", "speed_stddev", "direction_stddev", "update_interval"):
+            value = getattr(self, name)
+            if not (value is None and name == "speed_stddev") and not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.mean_speed < 0:
@@ -39,15 +49,6 @@ class MobilityParams:
             raise ValueError("update_interval must be > 0")
         if self.speed_stddev is None:
             object.__setattr__(self, "speed_stddev", 0.5 * self.mean_speed)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "mean_speed": self.mean_speed,
-            "speed_stddev": self.speed_stddev,
-            "direction_stddev": self.direction_stddev,
-            "update_interval": self.update_interval,
-        }
 
 
 @dataclass
@@ -116,32 +117,26 @@ def _mirror_direction(direction: float, flip_x: bool, flip_y: bool) -> float:
     return math.atan2(cy, cx)
 
 
-def reflect(position: Position, direction: float, area: Area) -> tuple[Position, float]:
-    """Mirror an out-of-bounds position back into the area.
+def reflect(state: MobilityState, area: Area) -> MobilityState:
+    """Mirror an out-of-bounds state back into the area.
 
     Each violated edge mirrors the coordinate and negates the matching
-    direction component; large overshoots fold repeatedly.  Speed magnitude
-    is unaffected (only the direction changes).
+    component of both the direction and the mean direction, so the bounce
+    persists; large overshoots fold repeatedly.  Speed is unaffected.
     """
-    x, flip_x = _fold(position.x, area.width)
-    y, flip_y = _fold(position.y, area.height)
-    return Position(x, y), _mirror_direction(direction, flip_x, flip_y)
+    x, flip_x = _fold(state.position.x, area.width)
+    y, flip_y = _fold(state.position.y, area.height)
+    return MobilityState(
+        Position(x, y),
+        state.speed,
+        _mirror_direction(state.direction, flip_x, flip_y),
+        _mirror_direction(state.mean_direction, flip_x, flip_y),
+    )
 
 
 def advance_all(
     states: list[MobilityState], params: MobilityParams, area: Area, rng: np.random.Generator
 ) -> list[MobilityState]:
-    """Step every node in node-id order (fixed rng consumption order).
-
-    Applies gm_step then reflect; when a reflection flips a direction
-    component the node's mean direction is flipped the same way.
-    """
-    out = []
-    for st in states:
-        raw = gm_step(st, params, rng)
-        x, flip_x = _fold(raw.position.x, area.width)
-        y, flip_y = _fold(raw.position.y, area.height)
-        direction = _mirror_direction(raw.direction, flip_x, flip_y)
-        mean_dir = _mirror_direction(raw.mean_direction, flip_x, flip_y)
-        out.append(MobilityState(Position(x, y), raw.speed, direction, mean_dir))
-    return out
+    """Step every node in node-id order (fixed rng consumption order):
+    gm_step, then reflect."""
+    return [reflect(gm_step(st, params, rng), area) for st in states]

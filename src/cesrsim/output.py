@@ -27,18 +27,12 @@ _IFACE_NAMES = {InterfaceKind.SHORT_RANGE: "SR", InterfaceKind.LONG_RANGE: "LR"}
 _STATE_NAMES = {RadioState.TX: "TX", RadioState.RX: "RX", RadioState.IDLE: "IDLE"}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_rows(path, columns, rows) -> None:
+def write_rows(path, columns, rows) -> None:
+    """Header plus rows; csv writes floats with repr."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_node_csv(stats_list: list[RunStats], path) -> None:
@@ -51,7 +45,7 @@ def write_node_csv(stats_list: list[RunStats], path) -> None:
                 rs.run_index, i, rs.classes[i], rs.generated[i], rs.delivered_mbits[i],
                 rs.dropped_total(i), rs.hops_mean(i), lr, sr, lr + sr,
             ])
-    _write_rows(path, NODE_COLUMNS, rows)
+    write_rows(path, NODE_COLUMNS, rows)
 
 
 def write_aggregate_csv(stats_list: list[RunStats], path) -> None:
@@ -61,7 +55,7 @@ def write_aggregate_csv(stats_list: list[RunStats], path) -> None:
         energy = rs.total_energy_j
         eb = energy / delivered if delivered > 0 else float("inf")
         rows.append([rs.run_index, rs.goodput_mbps, energy, eb])
-    _write_rows(path, AGGREGATE_COLUMNS, rows)
+    write_rows(path, AGGREGATE_COLUMNS, rows)
 
 
 def write_ledger_csv(rs: RunStats, profiles, path) -> None:
@@ -74,15 +68,15 @@ def write_ledger_csv(rs: RunStats, profiles, path) -> None:
                     i, _IFACE_NAMES[iface], _STATE_NAMES[state],
                     secs[state], profile.power(state) * secs[state],
                 ])
-    _write_rows(path, LEDGER_COLUMNS, rows)
+    write_rows(path, LEDGER_COLUMNS, rows)
 
 
 def write_trace_csv(rows, path) -> None:
-    _write_rows(path, TRACE_COLUMNS, rows)
+    write_rows(path, TRACE_COLUMNS, rows)
 
 
 def write_mobility_trace_csv(rows, path) -> None:
-    _write_rows(path, MOBILITY_TRACE_COLUMNS, rows)
+    write_rows(path, MOBILITY_TRACE_COLUMNS, rows)
 
 
 def write_report_csv(path, label: str, reports: list[EfficiencyReport],
@@ -91,9 +85,9 @@ def write_report_csv(path, label: str, reports: list[EfficiencyReport],
     for rep in reports:
         g = ""
         if gain_report is not None and rep.mode == "cooperative":
-            g = _fmt(gain_report.gain)
+            g = gain_report.gain
         rows.append([label, rep.mode, rep.runs, rep.eb_per_mb, rep.goodput_mbps, g])
-    _write_rows(path, REPORT_COLUMNS, rows)
+    write_rows(path, REPORT_COLUMNS, rows)
 
 
 def ensure_dir(path) -> None:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import yaml
 
-from .config import ConfigError, Mode, SimConfig, parse_config, _check_keys
+from .config import ConfigError, Mode, SimConfig, parse_config, _check_keys, _is_int
 from .metrics import energy_efficiency, gain
-from .mobility import MobilityParams
+from .mobility import MobilityParams, is_finite_number
+from .output import write_rows
 from .scenario import Area, ScenarioError, generate_scenario
 from .simcore import run
 
@@ -146,25 +147,58 @@ def parse_plan(data: dict) -> ExperimentPlan:
     cfg_data = dict(data.get("config") or {})
     cfg_data.setdefault("mode", "both")
     data["config"] = cfg_data
-    try:
-        name = str(data["name"])
-        axis = str(data["axis"])
-        values = tuple(float(v) for v in data["values"])
-        areas = tuple((float(w), float(h)) for w, h in data["areas"])
-        class_a_counts = tuple(int(c) for c in data["class_a_counts"])
-    except KeyError as exc:
-        raise ConfigError(f"plan missing key: {exc}") from exc
-    n_total = int(data.get("n_total", 0))
-    if axis != "node_count" and n_total < 1:
+    for key in ("name", "axis", "values", "areas", "class_a_counts"):
+        if key not in data:
+            raise ConfigError(f"plan missing key: {key!r}")
+    values = _plan_list(data, "values", is_finite_number, "finite numbers")
+    areas = _plan_list(data, "areas", _is_area, "[width, height] pairs of positive numbers")
+    class_a_counts = _plan_list(
+        data, "class_a_counts", lambda c: _is_int(c) and c >= 0, "integers >= 0"
+    )
+    n_total = data.get("n_total", 0)
+    if not _is_int(n_total):
+        raise ConfigError(f"plan n_total must be an integer, got {n_total!r}")
+    axis = str(data["axis"])
+    if axis == "node_count":
+        if not all(v >= 1 and float(v).is_integer() for v in values):
+            raise ConfigError(f"node_count values must be integers >= 1, got {values!r}")
+        node_counts = [int(v) for v in values]
+    elif n_total < 1:
         raise ConfigError("plan needs n_total >= 1 unless sweeping node_count")
+    else:
+        node_counts = [n_total]
+    if max(class_a_counts) > min(node_counts):
+        raise ConfigError(
+            f"class_a_counts {max(class_a_counts)} exceeds the {min(node_counts)} nodes of a point"
+        )
     base, both = parse_config(data["config"])
     if not both:
         # a plan fixing a single mode is a typo: gains need paired runs
         raise ConfigError('plan config must use mode: "both" (or omit mode)')
-    return ExperimentPlan(
-        name=name, axis=axis, values=values, areas=areas,
-        n_total=n_total, class_a_counts=class_a_counts, base=base,
+    plan = ExperimentPlan(
+        name=str(data["name"]), axis=axis,
+        values=tuple(float(v) for v in values),
+        areas=tuple((float(w), float(h)) for w, h in areas),
+        n_total=n_total, class_a_counts=tuple(class_a_counts), base=base,
     )
+    for point in plan.points():
+        try:
+            point.config()
+        except ValueError as exc:
+            raise ConfigError(f"{axis} = {point.value:g}: {exc}") from exc
+    return plan
+
+
+def _is_area(area) -> bool:
+    return (isinstance(area, list) and len(area) == 2
+            and all(is_finite_number(x) and x > 0 for x in area))
+
+
+def _plan_list(data: dict, key: str, ok, what: str) -> list:
+    value = data[key]
+    if not isinstance(value, list) or not value or not all(ok(v) for v in value):
+        raise ConfigError(f"plan {key} must be a non-empty list of {what}, got {value!r}")
+    return value
 
 
 def run_point(point: SweepPoint) -> SweepRow:
@@ -232,16 +266,7 @@ def run_sweep(
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.plan, repr(r.area_w), repr(r.area_h), r.n_total, r.n_class_a,
-                r.axis, repr(r.axis_value), r.runs, repr(r.bmk_eb_per_mb),
-                repr(r.coop_eb_per_mb), repr(r.bmk_goodput_mbps),
-                repr(r.coop_goodput_mbps), repr(r.gain),
-            ])
+    write_rows(path, SWEEP_COLUMNS, (astuple(r) for r in rows))
 
 
 class SweepSchemaError(ValueError):

@@ -28,61 +28,18 @@ class SelfBeaconError(ValueError):
 class Beacon:
     sender_id: int
     advertised_cost: float  # J/Mb
-    sent_at: float          # seconds
 
     def __post_init__(self):
         if self.advertised_cost <= 0:
             raise ValueError("advertised_cost must be positive")
 
 
-class NeighborEntry:
-    __slots__ = ("neighbor_id", "advertised_cost", "last_heard")
-
-    def __init__(self, neighbor_id: int, advertised_cost: float, last_heard: float):
-        self.neighbor_id = neighbor_id
-        self.advertised_cost = advertised_cost
-        self.last_heard = last_heard
-
-    def __repr__(self):
-        return f"NeighborEntry({self.neighbor_id}, {self.advertised_cost}, heard={self.last_heard})"
-
-
-@dataclass(frozen=True)
-class ForwardDecision:
-    """next_hop is a neighbor id for a short-range hop, None for long-range."""
-
-    next_hop: int | None
-
-    @property
-    def is_long_range(self) -> bool:
-        return self.next_hop is None
-
-
-LONG_RANGE = ForwardDecision(None)
-
-
-class NeighborTable:
-    __slots__ = ("entries", "timeout", "beacon_period")
-
-    def __init__(self, timeout: float = 15.0, beacon_period: float = 5.0):
-        self.entries: dict[int, NeighborEntry] = {}
-        self.timeout = timeout
-        self.beacon_period = beacon_period
-
-    def expire(self, now: float) -> None:
-        """Drop entries not refreshed within the timeout (strictly older)."""
-        timeout = self.timeout
-        dead = [k for k, e in self.entries.items() if now - e.last_heard > timeout]
-        for k in dead:
-            del self.entries[k]
-
-    def live_entries(self, now: float):
-        timeout = self.timeout
-        return [e for e in self.entries.values() if now - e.last_heard <= timeout]
-
-
 class NodeRoutingState:
     """Routing state of one node: its own link costs plus the neighbor table.
+
+    The table maps neighbor id -> (advertised cost, last heard).  An entry
+    older than the timeout is stale: every lookup skips it, and a fresh
+    beacon from that neighbor overwrites it.
 
     best_neighbor/advertised_cost/forward_decision are memoized between
     table changes; the cache stays valid while time advances without any
@@ -90,12 +47,11 @@ class NodeRoutingState:
     """
 
     __slots__ = (
-        "node_id", "lr_cost", "sr_cost", "table",
+        "node_id", "lr_cost", "sr_cost", "entries", "timeout",
         "_cache_time", "_cache_expiry", "_cache_best", "_epoch", "_cache_epoch",
     )
 
-    def __init__(self, node_id: int, lr_cost: float, sr_cost: float,
-                 timeout: float = 15.0, beacon_period: float = 5.0):
+    def __init__(self, node_id: int, lr_cost: float, sr_cost: float, timeout: float = 15.0):
         if lr_cost <= 0 or not math.isfinite(lr_cost):
             raise ValueError("lr_cost must be positive and finite")
         if sr_cost <= 0 or not math.isfinite(sr_cost):
@@ -103,43 +59,30 @@ class NodeRoutingState:
         self.node_id = node_id
         self.lr_cost = lr_cost
         self.sr_cost = sr_cost
-        self.table = NeighborTable(timeout=timeout, beacon_period=beacon_period)
+        self.entries: dict[int, tuple[float, float]] = {}
+        self.timeout = timeout
         self._epoch = 0
         self._cache_epoch = -1
         self._cache_time = -math.inf
         self._cache_expiry = -math.inf
         self._cache_best: tuple[int | None, float] = (None, math.inf)
 
-    def sr_cost_to(self, neighbor_id: int) -> float:
-        # Single shared short-range technology: one cost for every neighbor.
-        return self.sr_cost
-
     def handle_beacon(self, beacon: Beacon, now: float) -> None:
         """Upsert the sender's entry with its advertised cost and timestamp."""
         if beacon.sender_id == self.node_id:
             raise SelfBeaconError(f"node {self.node_id} received its own beacon")
-        entry = self.table.entries.get(beacon.sender_id)
-        if entry is None:
-            self.table.entries[beacon.sender_id] = NeighborEntry(
-                beacon.sender_id, beacon.advertised_cost, now
-            )
-        else:
-            entry.advertised_cost = beacon.advertised_cost
-            entry.last_heard = now
+        self.entries[beacon.sender_id] = (beacon.advertised_cost, now)
         self._epoch += 1
-
-    def expire(self, now: float) -> None:
-        self.table.expire(now)
 
     def earliest_expiry(self, now: float) -> float:
         """Time at which the oldest live entry would expire; +inf if empty."""
-        timeout = self.table.timeout
-        times = [e.last_heard + timeout for e in self.table.entries.values()
-                 if now - e.last_heard <= timeout]
+        timeout = self.timeout
+        times = [heard + timeout for _, heard in self.entries.values()
+                 if now - heard <= timeout]
         return min(times) if times else math.inf
 
     def best_neighbor(self, now: float) -> tuple[int | None, float]:
-        """Minimum of sr_cost_to(k) + advertised_cost(k) over live entries.
+        """Minimum of sr_cost + advertised cost over live entries.
 
         Returns (None, +inf) when no live neighbor exists.  Equal costs go
         to the lowest neighbor id.
@@ -149,20 +92,20 @@ class NodeRoutingState:
             and self._cache_time <= now <= self._cache_expiry
         ):
             return self._cache_best
-        timeout = self.table.timeout
+        timeout = self.timeout
         best_id: int | None = None
         best_cost = math.inf
         expiry = math.inf
-        for entry in self.table.entries.values():
-            if now - entry.last_heard > timeout:
+        for nid, (adv, heard) in self.entries.items():
+            if now - heard > timeout:
                 continue
-            exp = entry.last_heard + timeout
+            exp = heard + timeout
             if exp < expiry:
                 expiry = exp
-            cost = self.sr_cost + entry.advertised_cost
-            if cost < best_cost or (cost == best_cost and (best_id is None or entry.neighbor_id < best_id)):
+            cost = self.sr_cost + adv
+            if cost < best_cost or (cost == best_cost and (best_id is None or nid < best_id)):
                 best_cost = cost
-                best_id = entry.neighbor_id
+                best_id = nid
         self._cache_epoch = self._epoch
         self._cache_time = now
         self._cache_expiry = expiry
@@ -174,12 +117,13 @@ class NodeRoutingState:
         _, via = self.best_neighbor(now)
         return via if via < self.lr_cost else self.lr_cost
 
-    def forward_decision(self, now: float) -> ForwardDecision:
-        """Short-range toward the best neighbor only when strictly cheaper."""
+    def forward_decision(self, now: float) -> int | None:
+        """Next hop for a short-range relay, or None for the long-range link.
+
+        Short range is chosen only when strictly cheaper.
+        """
         best_id, via = self.best_neighbor(now)
-        if best_id is not None and via < self.lr_cost:
-            return ForwardDecision(best_id)
-        return LONG_RANGE
+        return best_id if via < self.lr_cost else None
 
     def make_beacon(self, now: float) -> Beacon:
-        return Beacon(sender_id=self.node_id, advertised_cost=self.advertised_cost(now), sent_at=now)
+        return Beacon(sender_id=self.node_id, advertised_cost=self.advertised_cost(now))

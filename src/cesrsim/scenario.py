@@ -9,7 +9,6 @@ and is not part of the short-range graph.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -145,27 +144,23 @@ def connectivity_graph(positions: Sequence[Position], max_range: float) -> list[
 def is_fully_connected(adj: Sequence[Sequence[int]]) -> bool:
     """True iff every node is reachable from node 0.
 
-    Uses Dijkstra with unit weights; for an undirected graph reachability
-    from node 0 is equivalent to any-to-any reachability.
+    For an undirected graph reachability from node 0 is equivalent to
+    any-to-any reachability.
     """
     n = len(adj)
     if n == 0:
         raise ScenarioError("graph must have at least one node")
-    dist = [math.inf] * n
-    dist[0] = 0
-    heap = [(0, 0)]
-    seen = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        seen += 1
-        for v in adj[u]:
-            nd = d + 1
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return seen == n
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for v in adj[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                reached += 1
+                stack.append(v)
+    return reached == n
 
 
 def generate_scenario(

@@ -41,25 +41,24 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
 from . import mobility as mob
 from .config import Mode, SimConfig
-from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit, total_energy
+from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit
 from .routing import NodeRoutingState
 from .scenario import MtClass, Scenario
 
 # Event kinds; the kind value doubles as the tie-break priority class.
 _K_MOBILITY = 0
-_K_SWEEP = 1
-_K_LR_TXEND = 2
-_K_SR_TXEND = 3
-_K_BEACON = 4
-_K_RECHECK = 5
-_K_ARRIVAL = 6
+_K_LR_TXEND = 1
+_K_SR_TXEND = 2
+_K_BEACON = 3
+_K_RECHECK = 4
+_K_ARRIVAL = 5
 
 _SR = InterfaceKind.SHORT_RANGE
 _LR = InterfaceKind.LONG_RANGE
@@ -69,14 +68,11 @@ _IDLE = RadioState.IDLE
 
 
 class Packet:
-    __slots__ = ("source", "seq", "mb", "hops", "created")
+    __slots__ = ("source", "hops")
 
-    def __init__(self, source: int, seq: int, mb: float, hops: int, created: float):
+    def __init__(self, source: int):
         self.source = source
-        self.seq = seq
-        self.mb = mb
-        self.hops = hops
-        self.created = created
+        self.hops = 0
 
 
 class _Source:
@@ -172,11 +168,10 @@ class Simulator:
         self.scenario = scenario
         self.run_index = run_index
         self.coop = cfg.mode is Mode.COOPERATIVE
+        # --trace needs one row per packet handled, so while it is on the
+        # batched-drop fast path is disabled and every arrival is an event.
         self.trace = trace
         self.mobility_trace = mobility_trace
-        # --trace needs one row per packet handled, so the batched-drop fast
-        # path is disabled and every arrival becomes an event.
-        self.exact = trace is not None
 
         n = scenario.n_nodes
         self.n = n
@@ -187,7 +182,6 @@ class Simulator:
 
         self.px = [node.position.x for node in scenario.nodes]
         self.py = [node.position.y for node in scenario.nodes]
-        self.tx_range = scenario.tx_range
         self.range2 = scenario.tx_range * scenario.tx_range
         cs_range = cfg.cs_range_factor * scenario.tx_range
         self.cs_range2 = cs_range * cs_range
@@ -215,7 +209,6 @@ class Simulator:
                     lr_cost=energy_per_bit(lr_power.tx_w, self.lr_rate[i]),
                     sr_cost=sr_cost,
                     timeout=cfg.table_timeout,
-                    beacon_period=cfg.beacon_period,
                 )
                 for i in range(n)
             ]
@@ -309,9 +302,6 @@ class Simulator:
         dy = self.py[i] - self.py[j]
         return dx * dx + dy * dy <= self.range2
 
-    def _view_busy(self, node: int) -> bool:
-        return self.busy_count[node] > 0
-
     # --- CBR sources --------------------------------------------------------
 
     def _schedule_arrival(self, src: _Source) -> None:
@@ -356,13 +346,12 @@ class Simulator:
             return  # stale wake
         src.next_k = k + 1
         self.generated[node] += 1
-        pkt = Packet(node, k, self.pkt_mb, 0, self.now)
-        res = self._dispatch(node, pkt)
+        res = self._dispatch(node, Packet(node))
         if res == 0:
             self._schedule_arrival(src)
         else:
             self.dropped_queue[node] += 1
-            if self.exact:
+            if self.trace is not None:
                 self._schedule_arrival(src)
             else:
                 self._block(src, "LR" if res == 1 else "SR")
@@ -374,7 +363,7 @@ class Simulator:
         2 = SR queue full."""
         nh = None
         if self.coop:
-            nh = self.routing[node].forward_decision(self.now).next_hop
+            nh = self.routing[node].forward_decision(self.now)
         if self.trace is not None:
             rs = self.routing[node] if self.coop else None
             eq1 = rs.best_neighbor(self.now)[1] if rs else math.inf
@@ -420,7 +409,7 @@ class Simulator:
     def _h_lr_txend(self, sender: int, pkt: Packet) -> None:
         self.ledgers[sender].transition_state(_LR, _IDLE, self.now)
         self.delivered_pkts[pkt.source] += 1
-        self.delivered_mb[pkt.source] += pkt.mb
+        self.delivered_mb[pkt.source] += self.pkt_mb
         self.hops_sum[pkt.source] += pkt.hops
         self.hop_hist[pkt.hops] = self.hop_hist.get(pkt.hops, 0) + 1
         if self.uplink_wait:
@@ -542,12 +531,6 @@ class Simulator:
         self._try_start_sr(node)
         self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
 
-    def _h_sweep(self) -> None:
-        now = self.now
-        for rs in self.routing:
-            rs.expire(now)
-        self._push(now + self.cfg.beacon_period, _K_SWEEP, 0, None)
-
     def _h_recheck(self, node: int, episode: int) -> None:
         src = self.sources[node]
         if src is None or src.blocked != "SR" or src.episode != episode:
@@ -581,7 +564,6 @@ class Simulator:
             for i in range(self.n):
                 offset = cfg.beacon_period * self.rng_beacon.random()
                 self._push(offset, _K_BEACON, i, None)
-            self._push(cfg.beacon_period, _K_SWEEP, 0, None)
         for src in self.sources:
             if src is not None:
                 self._schedule_arrival(src)
@@ -601,8 +583,6 @@ class Simulator:
                 self._h_beacon_due(node)
             elif kind == _K_RECHECK:
                 self._h_recheck(node, payload)
-            elif kind == _K_SWEEP:
-                self._h_sweep()
             else:
                 self._h_mobility()
 

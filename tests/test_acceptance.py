@@ -8,6 +8,7 @@ tests).  The expensive experiment sweeps are shared via module fixtures.
 import heapq
 import math
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,13 @@ import pytest
 from cesrsim.cli import EXIT_OK, main
 from cesrsim.config import Mode, SimConfig
 from cesrsim.energy import total_energy
-from cesrsim.plans import load_plan, run_sweep
+from cesrsim.plans import SweepRow, load_plan, load_sweep_csv, run_sweep
 from cesrsim.routing import NodeRoutingState
 from cesrsim.scenario import Area, connectivity_graph, generate_scenario
 from cesrsim.simcore import run
 
 PLANS_DIR = Path(__file__).resolve().parent.parent / "plans"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -29,25 +31,34 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def _golden_sweep(name: str) -> list[SweepRow]:
+    """Sweep rows of plans/<name>.yaml, checked against tests/golden/<name>.csv:
+    ints and strings exactly, floats within a relative 1e-9."""
+    rows, failures = run_sweep(load_plan(PLANS_DIR / f"{name}.yaml"))
+    assert failures == []
+    golden = load_sweep_csv(GOLDEN_DIR / f"{name}.csv")
+    assert len(rows) == len(golden), f"{len(rows)} rows, golden {name}.csv has {len(golden)}"
+    for i, (got, want) in enumerate(zip(rows, golden)):
+        for f in fields(SweepRow):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            ok = math.isclose(a, b, rel_tol=1e-9) if isinstance(b, float) else a == b
+            assert ok, f"golden {name}.csv row {i} {f.name}: got {a!r}, want {b!r}"
+    return rows
+
+
 @pytest.fixture(scope="module")
 def traffic_rows():
-    rows, failures = run_sweep(load_plan(PLANS_DIR / "traffic.yaml"))
-    assert failures == []
-    return rows
+    return _golden_sweep("traffic")
 
 
 @pytest.fixture(scope="module")
 def nodes_rows():
-    rows, failures = run_sweep(load_plan(PLANS_DIR / "nodes.yaml"))
-    assert failures == []
-    return rows
+    return _golden_sweep("nodes")
 
 
 @pytest.fixture(scope="module")
 def mobility_rows():
-    rows, failures = run_sweep(load_plan(PLANS_DIR / "mobility.yaml"))
-    assert failures == []
-    return rows
+    return _golden_sweep("mobility")
 
 
 # --- 1: four-node chain golden values ---------------------------------------
@@ -68,10 +79,10 @@ def test_criterion_1_chain_golden():
 
     beacon_round(0.0)
     c_cost = nodes[2].best_neighbor(0.0)[1]
-    d_first = nodes[3].forward_decision(0.0).is_long_range
+    d_first = nodes[3].forward_decision(0.0) is None
     beacon_round(5.0)
     b_cost = nodes[1].best_neighbor(5.0)[1]
-    d_second = nodes[3].forward_decision(5.0).is_long_range
+    d_second = nodes[3].forward_decision(5.0) is None
     elapsed = time.perf_counter() - t0
 
     ok = (
@@ -134,7 +145,7 @@ def test_criterion_2_oracle_equivalence():
             while True:
                 assert cur not in seen, f"routing loop at case {case}"
                 seen.add(cur)
-                nh = nodes[cur].forward_decision(now).next_hop
+                nh = nodes[cur].forward_decision(now)
                 if nh is None:
                     break
                 cur = nh

@@ -1,6 +1,7 @@
 import csv
 
 import pytest
+import yaml
 
 from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from cesrsim.scenario import load_scenario
@@ -157,3 +158,55 @@ def test_sweep_invalid_plan_exits_invalid(tmp_path):
     plan = _write_config(tmp_path, "name: x\n", name="plan.yaml")
     rc = main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "o")])
     assert rc == EXIT_INVALID
+
+
+_CONFIG = {"duration": 1, "runs": 1, "cbr_rate": 100, "mode": "both"}
+_PLAN = {"name": "p", "axis": "cbr_rate", "values": [100], "areas": [[60, 20]],
+         "n_total": 6, "class_a_counts": [2], "config": {"duration": 1, "runs": 1}}
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("run", {"runs": 2.5}),
+    ("run", {"cbr_rate": _INF}),
+    ("run", {"duration": _NAN}),
+    ("run", {"master_seed": -1}),
+    ("run", {"cs_range_factor": _NAN}),
+    ("run", {"sr_queue_cap": "many"}),
+    ("run", {"class_a_generates": 3}),
+    ("run", {"mobility": {"mean_speed": _INF}}),
+    ("sweep", {"values": 5}),
+    ("sweep", {"values": [_NAN]}),
+    ("sweep", {"values": [-5]}),
+    ("sweep", {"areas": [60]}),
+    ("sweep", {"areas": [[60, 0]]}),
+    ("sweep", {"class_a_counts": [7]}),
+    ("sweep", {"class_a_counts": [1.5]}),
+    ("sweep", {"n_total": 2.5}),
+    ("sweep", {"axis": "node_count", "values": [4, 2.5]}),
+    ("sweep", {"axis": "node_count", "values": [4, 10], "class_a_counts": [5]}),
+    ("sweep", {"config": {"runs": 2.5}}),
+])
+def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
+                                               command, overrides):
+    if command == "run":
+        path = _write_config(tmp_path, yaml.safe_dump({**_CONFIG, **overrides}))
+        argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
+    else:
+        path = _write_config(tmp_path, yaml.safe_dump({**_PLAN, **overrides}), "plan.yaml")
+        argv = ["sweep", "--plan", str(path)]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_seed_override_must_be_non_negative(tmp_path, scenario_file, capsys):
+    cfg = _write_config(tmp_path, "duration: 1\nruns: 1\n")
+    rc = main(["run", "--config", str(cfg), "--scenario", str(scenario_file),
+               "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert rc == EXIT_INVALID
+    assert "master_seed" in capsys.readouterr().err

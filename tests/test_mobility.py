@@ -79,26 +79,28 @@ def test_gm_step_long_run_mean_speed():
 
 def test_reflect_identity_inside():
     area = Area(10, 10)
-    pos, d = reflect(Position(5, 5), 1.23, area)
-    assert (pos.x, pos.y, d) == (5.0, 5.0, 1.23)
+    out = reflect(MobilityState(Position(5, 5), 1.0, 1.23, 0.5), area)
+    assert out == MobilityState(Position(5.0, 5.0), 1.0, 1.23, 0.5)
 
 
 def test_reflect_mirrors_left_edge():
     area = Area(10, 10)
-    pos, d = reflect(Position(-2, 5), math.pi, area)
-    assert pos.x == pytest.approx(2.0)
-    assert pos.y == pytest.approx(5.0)
-    # x component negated: heading pi flips to 0
-    assert math.cos(d) == pytest.approx(1.0)
+    out = reflect(MobilityState(Position(-2, 5), 1.0, math.pi, math.pi), area)
+    assert out.position.x == pytest.approx(2.0)
+    assert out.position.y == pytest.approx(5.0)
+    assert out.speed == 1.0
+    # x component negated: heading pi flips to 0, and so does the mean
+    assert math.cos(out.direction) == pytest.approx(1.0)
+    assert math.cos(out.mean_direction) == pytest.approx(1.0)
 
 
 def test_reflect_corner_flips_both_components():
     area = Area(10, 10)
     d_in = math.atan2(-1.0, -1.0)
-    pos, d = reflect(Position(-1, -1), d_in, area)
-    assert (pos.x, pos.y) == (1.0, 1.0)
-    assert math.cos(d) == pytest.approx(math.sqrt(0.5))
-    assert math.sin(d) == pytest.approx(math.sqrt(0.5))
+    out = reflect(MobilityState(Position(-1, -1), 1.0, d_in, d_in), area)
+    assert (out.position.x, out.position.y) == (1.0, 1.0)
+    assert math.cos(out.direction) == pytest.approx(math.sqrt(0.5))
+    assert math.sin(out.direction) == pytest.approx(math.sqrt(0.5))
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,10 +111,10 @@ def test_reflect_corner_flips_both_components():
 )
 def test_reflect_always_lands_inside(x, y, d):
     area = Area(100, 50)
-    pos, d_out = reflect(Position(x, y), d, area)
-    assert 0.0 <= pos.x <= area.width
-    assert 0.0 <= pos.y <= area.height
-    assert -math.pi <= d_out <= math.pi
+    out = reflect(MobilityState(Position(x, y), 1.0, d, d), area)
+    assert 0.0 <= out.position.x <= area.width
+    assert 0.0 <= out.position.y <= area.height
+    assert -math.pi <= out.direction <= math.pi
 
 
 @settings(max_examples=40, deadline=None)

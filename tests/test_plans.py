@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cesrsim.config import ConfigError
@@ -110,9 +112,20 @@ def test_run_sweep_serial_matches_parallel():
     assert [r.axis_value for r in rows_s] == [100.0, 1000.0]
 
 
+def test_parse_plan_rejects_class_a_counts_above_a_point_node_count():
+    with pytest.raises(ConfigError, match="class_a_counts"):
+        _plan(axis="node_count", values=[2, 6], n_total=0, class_a_counts=[3])
+    with pytest.raises(ConfigError, match="class_a_counts"):
+        _plan(class_a_counts=[7])
+
+
 def test_run_sweep_collects_failures():
-    # 3 class-A nodes cannot fit a 2-node point
-    plan = _plan(axis="node_count", values=[2, 6], n_total=0, class_a_counts=[3])
+    # 3 class-A nodes cannot fit a 2-node point; parse_plan rejects that, so
+    # the count is swapped into an already parsed plan
+    plan = replace(
+        _plan(axis="node_count", values=[2, 6], n_total=0, class_a_counts=[2]),
+        class_a_counts=(3,),
+    )
     rows, failures = run_sweep(plan)
     assert len(rows) == 1
     assert len(failures) == 1

@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cesrsim.config import Mode, SimConfig
 from cesrsim.energy import InterfaceKind
 from cesrsim.mobility import MobilityParams
-from cesrsim.scenario import Area, generate_scenario
+from cesrsim.scenario import (
+    Area, MtClass, Position, Scenario, ScenarioNode, generate_scenario, place_random,
+)
 from cesrsim.simcore import Simulator, _first_k_at_or_after, run
 
 SR = InterfaceKind.SHORT_RANGE
@@ -95,14 +100,63 @@ def test_run_deterministic():
     assert run(cfg, sc, 0) != run(cfg, sc, 1)
 
 
-def test_batched_drop_fast_path_matches_exact_per_packet_loop():
-    # saturating rate so the fast path actually engages
-    sc = _scenario(n=10, ca=2)
-    for mode in (Mode.BENCHMARK, Mode.COOPERATIVE):
-        cfg = SimConfig(duration=2.0, runs=1, cbr_rate=3000.0, mode=mode)
-        fast = run(cfg, sc, 0)
-        exact = run(cfg, sc, 0, trace=[])
-        assert fast == exact
+def _case(width, height, n, n_class_a, seed, mobile, **cfg):
+    """A config and a scenario of n uniformly placed nodes, connected or not."""
+    area = Area(width, height)
+    positions = place_random(area, n, np.random.default_rng(seed))
+    nodes = tuple(
+        ScenarioNode(i, p, MtClass.CLASS_A if i < n_class_a else MtClass.CLASS_B)
+        for i, p in enumerate(positions)
+    )
+    sc = Scenario(area, nodes, 20.0, Position(width / 2, height / 2), seed)
+    mobility = MobilityParams(mean_speed=3.0, update_interval=0.25) if mobile else None
+    return SimConfig(runs=1, mobility=mobility, **cfg), sc
+
+
+@st.composite
+def _cases(draw):
+    n = draw(st.integers(2, 10))
+    cap = st.integers(1, 50)
+    return _case(
+        width=draw(st.floats(5.0, 200.0)),
+        height=draw(st.floats(5.0, 100.0)),
+        n=n,
+        n_class_a=draw(st.integers(0, n)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        mobile=draw(st.booleans()),
+        mode=draw(st.sampled_from(Mode)),
+        duration=draw(st.floats(0.5, 2.0)),
+        cbr_rate=draw(st.sampled_from([200.0, 1000.0, 3000.0])),
+        beacon_period=draw(st.floats(0.2, 1.0)),
+        cs_range_factor=draw(st.floats(1.0, 6.0)),
+        sr_queue_cap=draw(cap),
+        uplink_queue_cap_per_node=draw(cap),
+        class_a_generates=draw(st.booleans()),
+        beacon_energy_counted=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cases())
+# saturated complete sensing graph, where batched drops dominate
+@example(case=_case(60.0, 20.0, 10, 2, 5, mobile=False, duration=2.0, cbr_rate=3000.0))
+# sensing shorter than the area diagonal: spatial reuse, deferral outside
+# coverage and beacons lost at busy views
+@example(case=_case(
+    200.0, 100.0, 10, 2, 11, mobile=True, mode=Mode.COOPERATIVE, duration=2.0,
+    cbr_rate=3000.0, beacon_period=0.5, cs_range_factor=1.0, sr_queue_cap=5,
+    uplink_queue_cap_per_node=5, class_a_generates=True, beacon_energy_counted=True,
+))
+def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
+    cfg, sc = case
+    fast = run(cfg, sc, 0)
+    assert run(cfg, sc, 0, trace=[]) == fast
+    for i in range(fast.n_nodes):
+        assert fast.generated[i] == (
+            fast.delivered_pkts[i] + fast.dropped_total(i) + fast.in_flight[i]
+        )
+        for secs in fast.iface_seconds[i].values():
+            assert sum(secs) == pytest.approx(cfg.duration, rel=1e-12)
 
 
 def test_class_a_generates_flag():
