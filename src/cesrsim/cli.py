@@ -7,7 +7,7 @@ Subcommands:
   report    summarize a sweep.csv and emit plot data files
 
 Exit codes: 0 success, 1 runtime failure (including partial sweep failures),
-2 invalid configuration or infeasible scenario parameters.
+2 invalid input (config, plan, scenario file, sweep CSV) or infeasible scenario.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
     modes = [Mode.BENCHMARK, Mode.COOPERATIVE] if both else [cfg.mode]
     reports = []
     for mode in modes:
-        mcfg = cfg.with_mode(mode)
+        mcfg = replace(cfg, mode=mode)
         mode_dir = out / mode.value
         ensure_dir(mode_dir)
         stats = []
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ScenarioError, SweepSchemaError) as exc:
+    except (ConfigError, ScenarioError, SweepSchemaError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (OSError, ZeroDeliveryError, ValueError) as exc:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import yaml
 
 from .energy import DEFAULT_PROFILES, InterfaceKind, PowerProfile
-from .mobility import MobilityParams, is_finite_number
-from .scenario import RateProfile
+from .mobility import MobilityParams
+from .scenario import RateProfile, is_finite_number
 
 
 class ConfigError(ValueError):
@@ -109,34 +109,23 @@ class SimConfig:
         if self.uplink_queue_cap_per_node < 1 or self.sr_queue_cap < 1:
             raise ConfigError("queue caps must be >= 1")
 
-    def with_mode(self, mode: Mode) -> "SimConfig":
-        d = self.__dict__.copy()
-        d["mode"] = mode
-        return SimConfig(**d)
-
     def resolved_hop_budget(self, n_nodes: int) -> int:
         return self.hop_budget if self.hop_budget is not None else 4 * n_nodes
 
 
-_CONFIG_KEYS = {
-    "duration", "runs", "beacon_period", "table_timeout", "cbr_rate",
-    "packet_size", "beacon_size", "tx_range", "cs_range_factor", "contention_slot",
-    "mode", "hop_budget",
-    "uplink_queue_cap_per_node", "sr_queue_cap", "class_a_generates",
-    "beacon_energy_counted", "mobility", "master_seed",
-}
+_CONFIG_KEYS = {*_FIELD_TYPES, "mode", "mobility"}
 
-_MOBILITY_KEYS = {"alpha", "mean_speed", "speed_stddev", "direction_stddev", "update_interval"}
+_MOBILITY_KEYS = {f.name for f in fields(MobilityParams)}
 
 # "both" at the file level means: run benchmark and cooperative on the same
 # scenario and seeds and report the gain.
-_MODES = {"benchmark", "cooperative", "both"}
+_MODES = ("benchmark", "cooperative", "both")
 
 
 def _check_keys(data: dict, allowed: set[str], what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {what} key(s): {', '.join(sorted(map(str, unknown)))}")
 
 
 def parse_mobility(data: dict | None) -> MobilityParams | None:
@@ -147,7 +136,7 @@ def parse_mobility(data: dict | None) -> MobilityParams | None:
     _check_keys(data, _MOBILITY_KEYS, "mobility")
     try:
         return MobilityParams(**data)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid mobility parameters: {exc}") from exc
 
 
@@ -168,19 +157,18 @@ def parse_config(data: dict) -> tuple[SimConfig, bool]:
     mode = Mode.COOPERATIVE if both else Mode(mode_str)
     if "mobility" in data:
         data["mobility"] = parse_mobility(data["mobility"])
-    try:
-        cfg = SimConfig(mode=mode, **data)
-    except TypeError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    return cfg, both
+    return SimConfig(mode=mode, **data), both
+
+
+def load_yaml(path):
+    """The parsed contents of a YAML file; a syntax error is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
 
 def load_config(path) -> tuple[SimConfig, bool]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if data is None:
-        data = {}
-    return parse_config(data)
+    data = load_yaml(path)
+    return parse_config({} if data is None else data)

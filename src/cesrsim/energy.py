@@ -104,17 +104,6 @@ class EnergyLedger:
         for iface in self.interfaces:
             self.transition_state(iface, self.current_state[iface], now)
 
-    def state_seconds(self, iface: InterfaceKind, state: RadioState) -> float:
-        return self.seconds[iface][state]
-
-    def interface_seconds(self, iface: InterfaceKind) -> float:
-        return sum(self.seconds[iface])
-
     def interface_energy(self, iface: InterfaceKind, profile: PowerProfile) -> float:
         secs = self.seconds[iface]
         return profile.tx_w * secs[RadioState.TX] + profile.rx_w * secs[RadioState.RX] + profile.idle_w * secs[RadioState.IDLE]
-
-
-def total_energy(ledger: EnergyLedger, profiles: dict[InterfaceKind, PowerProfile]) -> float:
-    """Sum of power x accumulated seconds over all interfaces and states, J."""
-    return sum(ledger.interface_energy(iface, profiles[iface]) for iface in ledger.interfaces)

@@ -15,17 +15,11 @@ the mean-reversion pull.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scenario import Area, Position
-
-
-def is_finite_number(value) -> bool:
-    """True for a finite int or float; bools and strings are not numbers."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+from .scenario import Area, Position, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -37,10 +31,10 @@ class MobilityParams:
     update_interval: float = 1.0        # seconds
 
     def __post_init__(self):
-        for name in ("alpha", "mean_speed", "speed_stddev", "direction_stddev", "update_interval"):
-            value = getattr(self, name)
-            if not (value is None and name == "speed_stddev") and not is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "speed_stddev") and not is_finite_number(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.mean_speed < 0:

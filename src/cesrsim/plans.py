@@ -11,25 +11,21 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from contextlib import ExitStack
+from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
+from itertools import product
+from typing import get_type_hints
 
 import numpy as np
-import yaml
 
-from .config import ConfigError, Mode, SimConfig, parse_config, _check_keys, _is_int
+from .config import ConfigError, Mode, SimConfig, load_yaml, parse_config, _check_keys, _is_int
 from .metrics import energy_efficiency, gain
-from .mobility import MobilityParams, is_finite_number
 from .output import write_rows
-from .scenario import Area, ScenarioError, generate_scenario
+from .scenario import Area, ScenarioError, generate_scenario, is_finite_number
 from .simcore import run
 
 AXES = ("node_count", "cbr_rate", "mean_speed")
-
-SWEEP_COLUMNS = [
-    "plan", "area_w", "area_h", "n_total", "n_class_a", "axis", "axis_value",
-    "runs", "bmk_eb_per_mb", "coop_eb_per_mb", "bmk_goodput_mbps",
-    "coop_goodput_mbps", "gain",
-]
 
 _PLAN_KEYS = {"name", "axis", "values", "areas", "n_total", "class_a_counts", "config"}
 
@@ -44,25 +40,10 @@ class ExperimentPlan:
     class_a_counts: tuple[int, ...]
     base: SimConfig
 
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not self.values:
-            raise ConfigError("axis values must be non-empty")
-        if not self.areas:
-            raise ConfigError("areas must be non-empty")
-        if self.axis == "mean_speed" and self.base.mobility is None:
-            raise ConfigError("a mean_speed sweep needs mobility parameters in the base config")
-
     def points(self) -> list["SweepPoint"]:
-        out = []
-        idx = 0
-        for ai, (w, h) in enumerate(self.areas):
-            for ci, ca in enumerate(self.class_a_counts):
-                for vi, v in enumerate(self.values):
-                    out.append(SweepPoint(self, idx, ai, (w, h), ci, ca, vi, v))
-                    idx += 1
-        return out
+        grid = product(enumerate(self.areas), enumerate(self.class_a_counts), self.values)
+        return [SweepPoint(self, idx, ai, area, ci, ca, v)
+                for idx, ((ai, area), (ci, ca), v) in enumerate(grid)]
 
 
 @dataclass(frozen=True)
@@ -73,7 +54,6 @@ class SweepPoint:
     area: tuple[float, float]
     ca_index: int
     n_class_a: int
-    value_index: int
     value: float
 
     @property
@@ -87,17 +67,9 @@ class SweepPoint:
         if self.plan.axis == "cbr_rate":
             cfg = replace(cfg, cbr_rate=self.value)
         elif self.plan.axis == "mean_speed":
-            m = cfg.mobility
-            cfg = replace(
-                cfg,
-                mobility=MobilityParams(
-                    alpha=m.alpha,
-                    mean_speed=self.value,
-                    speed_stddev=None,  # rescales with the mean
-                    direction_stddev=m.direction_stddev,
-                    update_interval=m.update_interval,
-                ),
-            )
+            # speed_stddev None rescales with the mean
+            mobility = replace(cfg.mobility, mean_speed=self.value, speed_stddev=None)
+            cfg = replace(cfg, mobility=mobility)
         return cfg
 
     def scenario_seed(self, run_index: int) -> int:
@@ -129,24 +101,22 @@ class SweepRow:
     gain: float
 
 
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
+# the type each sweep.csv cell is read back as, in column order
+_SWEEP_TYPES = [get_type_hints(SweepRow)[name] for name in SWEEP_COLUMNS]
+
+
 def load_plan(path) -> ExperimentPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parse_plan(data)
+    return parse_plan(load_yaml(path))
 
 
 def parse_plan(data: dict) -> ExperimentPlan:
     if not isinstance(data, dict):
         raise ConfigError("plan file must contain a mapping")
     _check_keys(data, _PLAN_KEYS, "plan")
-    # sweeps always pair the two modes, so default the config mode to "both"
-    data = dict(data)
-    cfg_data = dict(data.get("config") or {})
-    cfg_data.setdefault("mode", "both")
-    data["config"] = cfg_data
+    cfg_data = data.get("config") or {}
+    if not isinstance(cfg_data, dict):
+        raise ConfigError(f"plan config must be a mapping, got {cfg_data!r}")
     for key in ("name", "axis", "values", "areas", "class_a_counts"):
         if key not in data:
             raise ConfigError(f"plan missing key: {key!r}")
@@ -171,12 +141,21 @@ def parse_plan(data: dict) -> ExperimentPlan:
         raise ConfigError(
             f"class_a_counts {max(class_a_counts)} exceeds the {min(node_counts)} nodes of a point"
         )
-    base, both = parse_config(data["config"])
+    # sweeps always pair the two modes, so default the config mode to "both"
+    base, both = parse_config({"mode": "both", **cfg_data})
     if not both:
         # a plan fixing a single mode is a typo: gains need paired runs
         raise ConfigError('plan config must use mode: "both" (or omit mode)')
+    if axis not in AXES:
+        raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
+    if axis == "mean_speed" and base.mobility is None:
+        raise ConfigError("a mean_speed sweep needs mobility parameters in the base config")
+    name = str(data["name"])
+    if not name.isascii():
+        # sweep.csv is ASCII; a failure there would come after every point ran
+        raise ConfigError(f"plan name must be ASCII, got {name!r}")
     plan = ExperimentPlan(
-        name=str(data["name"]), axis=axis,
+        name=name, axis=axis,
         values=tuple(float(v) for v in values),
         areas=tuple((float(w), float(h)) for w, h in areas),
         n_total=n_total, class_a_counts=tuple(class_a_counts), base=base,
@@ -205,12 +184,8 @@ def run_point(point: SweepPoint) -> SweepRow:
     """Execute all paired runs of one sweep point."""
     cfg = point.config()
     n_total = point.n_total
-    if point.n_class_a > n_total:
-        raise ConfigError(
-            f"point {point.index}: n_class_a={point.n_class_a} exceeds n_total={n_total}"
-        )
-    bmk_cfg = cfg.with_mode(Mode.BENCHMARK)
-    coop_cfg = cfg.with_mode(Mode.COOPERATIVE)
+    bmk_cfg = replace(cfg, mode=Mode.BENCHMARK)
+    coop_cfg = replace(cfg, mode=Mode.COOPERATIVE)
     area = Area(point.area[0], point.area[1])
     bmk_stats = []
     coop_stats = []
@@ -246,23 +221,21 @@ def run_sweep(
 ) -> tuple[list[SweepRow], list[tuple[SweepPoint, str]]]:
     """Run every point; returns (rows, failures) in canonical point order."""
     points = plan.points()
-    rows: list[SweepRow | None] = [None] * len(points)
+    rows: list[SweepRow] = []
     failures: list[tuple[SweepPoint, str]] = []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(run_point, p) for p in points]
-            for p, fut in zip(points, futures):
-                try:
-                    rows[p.index] = fut.result()
-                except (ScenarioError, ConfigError, ValueError) as exc:
-                    failures.append((p, str(exc)))
-    else:
-        for p in points:
+    with ExitStack() as stack:
+        # one zero-argument callable per point that returns its row
+        if parallel > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallel))
+            results = [pool.submit(run_point, p).result for p in points]
+        else:
+            results = [partial(run_point, p) for p in points]
+        for p, result in zip(points, results):
             try:
-                rows[p.index] = run_point(p)
-            except (ScenarioError, ConfigError, ValueError) as exc:
+                rows.append(result())
+            except (ScenarioError, ValueError) as exc:
                 failures.append((p, str(exc)))
-    return [r for r in rows if r is not None], failures
+    return rows, failures
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
@@ -270,7 +243,7 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
 
 
 class SweepSchemaError(ValueError):
-    """The sweep CSV is empty or has unexpected columns."""
+    """The sweep CSV is empty, has unexpected columns or has a malformed row."""
 
 
 def load_sweep_csv(path) -> list[SweepRow]:
@@ -284,14 +257,14 @@ def load_sweep_csv(path) -> list[SweepRow]:
             raise SweepSchemaError(f"{path}: unexpected columns {header}")
         rows = []
         for rec in reader:
-            rows.append(SweepRow(
-                plan=rec[0], area_w=float(rec[1]), area_h=float(rec[2]),
-                n_total=int(rec[3]), n_class_a=int(rec[4]), axis=rec[5],
-                axis_value=float(rec[6]), runs=int(rec[7]),
-                bmk_eb_per_mb=float(rec[8]), coop_eb_per_mb=float(rec[9]),
-                bmk_goodput_mbps=float(rec[10]), coop_goodput_mbps=float(rec[11]),
-                gain=float(rec[12]),
-            ))
+            if len(rec) != len(SWEEP_COLUMNS):
+                raise SweepSchemaError(
+                    f"{path} line {reader.line_num}: {len(rec)} cells, want {len(SWEEP_COLUMNS)}"
+                )
+            try:
+                rows.append(SweepRow(*(typ(cell) for typ, cell in zip(_SWEEP_TYPES, rec))))
+            except ValueError as exc:
+                raise SweepSchemaError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise SweepSchemaError(f"{path}: sweep CSV has no data rows")
     return rows
@@ -336,7 +309,3 @@ def summarize(rows: list[SweepRow]) -> tuple[str, dict[str, list[tuple[float, fl
             f"class-A={overall_best.n_class_a})"
         )
     return summary, plot_data
-
-
-def max_gain(rows: list[SweepRow]) -> float:
-    return max(r.gain for r in rows)

@@ -17,6 +17,12 @@ from typing import Sequence
 import numpy as np
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; bools and strings are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 class ScenarioError(Exception):
     """Invalid scenario parameters or malformed scenario file."""
 
@@ -35,17 +41,14 @@ class Area:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ScenarioError(f"area dimensions must be positive, got {self.width}x{self.height}")
+        if not all(is_finite_number(d) and d > 0 for d in (self.width, self.height)):
+            raise ScenarioError(f"area dimensions must be positive finite numbers, got {self.width}x{self.height}")
 
 
 @dataclass(frozen=True)
 class Position:
     x: float
     y: float
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 class MtClass(Enum):
@@ -163,6 +166,11 @@ def is_fully_connected(adj: Sequence[Sequence[int]]) -> bool:
     return reached == n
 
 
+def _check_tx_range(tx_range) -> None:
+    if not (is_finite_number(tx_range) and tx_range > 0):
+        raise ScenarioError(f"tx_range must be a positive finite number, got {tx_range!r}")
+
+
 def generate_scenario(
     area: Area,
     n_total: int,
@@ -170,7 +178,6 @@ def generate_scenario(
     tx_range: float,
     seed: int,
     max_attempts: int = 10_000,
-    bs_position: Position | None = None,
 ) -> Scenario:
     """Rejection-sample a connected scenario.
 
@@ -182,6 +189,9 @@ def generate_scenario(
         raise ScenarioError(f"n_class_a={n_class_a} out of range for n_total={n_total}")
     if max_attempts < 1:
         raise ScenarioError("max_attempts must be >= 1")
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
+    _check_tx_range(tx_range)
     rng = np.random.default_rng(seed)
     for attempt in range(1, max_attempts + 1):
         positions = place_random(area, n_total, rng)
@@ -195,13 +205,11 @@ def generate_scenario(
                 )
                 for i, p in enumerate(positions)
             )
-            if bs_position is None:
-                bs_position = Position(area.width / 2.0, area.height / 2.0)
             return Scenario(
                 area=area,
                 nodes=nodes,
                 tx_range=tx_range,
-                bs_position=bs_position,
+                bs_position=Position(area.width / 2.0, area.height / 2.0),
                 seed=seed,
                 attempts=attempt,
             )
@@ -217,6 +225,8 @@ def generate_scenario(
 # are byte-stable across runs and platforms.
 
 _HEADER = "cesr-scenario v1"
+# values after each record key
+_ARITY = {"area": 2, "tx_range": 1, "bs": 2, "seed": 1, "node": 4}
 
 
 def scenario_to_text(scenario: Scenario) -> str:
@@ -234,31 +244,47 @@ def scenario_to_text(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def scenario_from_text(text: str) -> Scenario:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ScenarioError("not a scenario file (missing header)")
-    fields: dict[str, list[str]] = {}
+    fields: dict[str, list] = {}
     nodes: list[ScenarioNode] = []
     for ln in lines[1:]:
-        parts = ln.split()
-        key = parts[0]
-        if key == "node":
-            nid = int(parts[1])
-            if nid != len(nodes):
-                raise ScenarioError(f"node ids must be contiguous from 0, got {nid}")
-            nodes.append(
-                ScenarioNode(nid, Position(float(parts[2]), float(parts[3])), MtClass(parts[4]))
-            )
-        else:
-            fields[key] = parts[1:]
+        key, *args = ln.split()
+        try:
+            if key not in _ARITY:
+                raise ValueError("unknown record")
+            if len(args) != _ARITY[key]:
+                raise ValueError(f"expected {_ARITY[key]} value(s) after {key!r}")
+            if key == "node":
+                nid = int(args[0])
+                if nid != len(nodes):
+                    raise ScenarioError(f"node ids must be contiguous from 0, got {nid}")
+                nodes.append(ScenarioNode(
+                    nid, Position(_finite(args[1]), _finite(args[2])), MtClass(args[3])
+                ))
+            elif key == "seed":
+                fields[key] = [int(args[0])]
+            else:
+                fields[key] = [_finite(a) for a in args]
+        except ValueError as exc:
+            raise ScenarioError(f"bad scenario line {ln!r}: {exc}") from None
     try:
-        area = Area(float(fields["area"][0]), float(fields["area"][1]))
-        tx_range = float(fields["tx_range"][0])
-        bs = Position(float(fields["bs"][0]), float(fields["bs"][1]))
-        seed = int(fields["seed"][0])
+        area = Area(*fields["area"])
+        tx_range = fields["tx_range"][0]
+        bs = Position(*fields["bs"])
+        seed = fields["seed"][0]
     except KeyError as exc:
         raise ScenarioError(f"scenario file missing field: {exc}") from exc
+    _check_tx_range(tx_range)
     if not nodes:
         raise ScenarioError("scenario file has no nodes")
     return Scenario(area=area, nodes=tuple(nodes), tx_range=tx_range, bs_position=bs, seed=seed)

@@ -228,7 +228,6 @@ class Simulator:
         # transmissions covering each node, from the coverage snapshot taken
         # at transmission start; a node's medium view is busy while > 0
         self.busy_count = [0] * n
-        self.active: dict[int, int] = {}  # tx id -> sender
         self.deferred: dict[int, float] = {}  # node -> first wait time
         self.nbrs: list[list[int]] = [[] for _ in range(n)]        # decode range
         self.nbrs_cs: list[list[int]] = [[] for _ in range(n)]     # sensing range
@@ -273,10 +272,9 @@ class Simulator:
 
     # --- plumbing -----------------------------------------------------------
 
-    def _push(self, time: float, kind: int, node: int, payload) -> int:
+    def _push(self, time: float, kind: int, node: int, payload) -> None:
         self._seq += 1
         heappush(self.heap, (time, kind, node, self._seq, payload))
-        return self._seq
 
     def _rebuild_neighbors(self) -> None:
         px, py, r2, cs2, n = self.px, self.py, self.range2, self.cs_range2, self.n
@@ -471,15 +469,13 @@ class Simulator:
                 rx_count[j] = c
                 if c == 1 and not sr_tx[j]:
                     ledgers[j].transition_state(_SR, _RX, now)
-        tid = self._push(
+        self._push(
             now + dur, _K_SR_TXEND, node,
             (kind, payload, nh, covered_cs, receivable, charge),
         )
-        self.active[tid] = node
 
-    def _h_sr_txend(self, sender: int, tid: int, payload) -> None:
+    def _h_sr_txend(self, sender: int, payload) -> None:
         kind, item, nh, covered_cs, receivable, charge = payload
-        del self.active[tid]
         self.sr_tx[sender] = False
         now = self.now
         busy_count = self.busy_count
@@ -571,12 +567,12 @@ class Simulator:
         heap = self.heap
         duration = self.duration
         while heap and heap[0][0] < duration:
-            time, kind, node, seq, payload = heappop(heap)
+            time, kind, node, _, payload = heappop(heap)
             self.now = time
             if kind == _K_ARRIVAL:
                 self._h_arrival(node, payload)
             elif kind == _K_SR_TXEND:
-                self._h_sr_txend(node, seq, payload)
+                self._h_sr_txend(node, payload)
             elif kind == _K_LR_TXEND:
                 self._h_lr_txend(node, payload)
             elif kind == _K_BEACON:
@@ -610,9 +606,10 @@ class Simulator:
             for kind, item, _ in q:
                 if kind == "D":
                     in_flight[item.source] += 1
-        # data packets on the air at the end
-        for time, kind, node, seq, payload in self.heap:
-            if kind == _K_SR_TXEND and payload[0] == "D" and seq in self.active:
+        # data packets on the air at the end: every end-of-transmission event
+        # still queued belongs to a transmission that started and never ended
+        for _, kind, _, _, payload in self.heap:
+            if kind == _K_SR_TXEND and payload[0] == "D":
                 in_flight[payload[1].source] += 1
         profiles = self.cfg.power_profiles
         iface_seconds = []

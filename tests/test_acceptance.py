@@ -16,7 +16,6 @@ import pytest
 
 from cesrsim.cli import EXIT_OK, main
 from cesrsim.config import Mode, SimConfig
-from cesrsim.energy import total_energy
 from cesrsim.plans import SweepRow, load_plan, load_sweep_csv, run_sweep
 from cesrsim.routing import NodeRoutingState
 from cesrsim.scenario import Area, connectivity_graph, generate_scenario

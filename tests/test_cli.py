@@ -163,6 +163,7 @@ def test_sweep_invalid_plan_exits_invalid(tmp_path):
 _CONFIG = {"duration": 1, "runs": 1, "cbr_rate": 100, "mode": "both"}
 _PLAN = {"name": "p", "axis": "cbr_rate", "values": [100], "areas": [[60, 20]],
          "n_total": 6, "class_a_counts": [2], "config": {"duration": 1, "runs": 1}}
+_GENERATE = {"--area": ["60", "20"], "--nodes": ["1"], "--class-a": ["0"]}
 _NAN = float("nan")
 _INF = float("inf")
 
@@ -187,12 +188,39 @@ _INF = float("inf")
     ("sweep", {"axis": "node_count", "values": [4, 2.5]}),
     ("sweep", {"axis": "node_count", "values": [4, 10], "class_a_counts": [5]}),
     ("sweep", {"config": {"runs": 2.5}}),
+    ("scenario", {"node": "0 1.0 2.0"}),
+    ("scenario", {"area": "60.0"}),
+    ("scenario", {"node": "0 1.0 2.0 C"}),
+    ("scenario", {"seed": "x"}),
+    ("scenario", {"tx_range": "nan"}),
+    ("scenario", {"tx_range": "0.0"}),
+    ("scenario", {"node": "0 inf 2.0 A"}),
+    ("generate", {"--area": ["nan", "10"]}),
+    ("generate", {"--tx-range": ["nan"]}),
+    ("generate", {"--seed": ["-1"]}),
+    ("run", {"mode": [1]}),
+    ("sweep", {"config": [1]}),
+    ("scenario", {"seed": "\u00e9"}),
+    ("sweep", {"name": "caf\u00e9"}),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
     if command == "run":
         path = _write_config(tmp_path, yaml.safe_dump({**_CONFIG, **overrides}))
         argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
+    elif command == "scenario":
+        # each override replaces the values of the first record with that key
+        lines = scenario_file.read_text().splitlines()
+        for key, values in overrides.items():
+            i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+            lines[i] = f"{key} {values}"
+        bad = tmp_path / "bad_scen.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = _write_config(tmp_path, yaml.safe_dump(_CONFIG))
+        argv = ["run", "--config", str(path), "--scenario", str(bad)]
+    elif command == "generate":
+        args = {**_GENERATE, **overrides}
+        argv = ["generate", *(a for flag, values in args.items() for a in (flag, *values))]
     else:
         path = _write_config(tmp_path, yaml.safe_dump({**_PLAN, **overrides}), "plan.yaml")
         argv = ["sweep", "--plan", str(path)]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cesrsim.config import ConfigError, Mode, SimConfig, load_config, parse_config
@@ -76,12 +78,14 @@ def test_parse_config_mobility_block():
         parse_config({"mobility": {"alpha": 2.0}})
 
 
-def test_with_mode_round_trip():
-    cfg = SimConfig(duration=7.0)
-    bmk = cfg.with_mode(Mode.BENCHMARK)
+def test_replace_mode_keeps_other_fields():
+    cfg = SimConfig(duration=7.0, beacon_period=2.0)
+    bmk = replace(cfg, mode=Mode.BENCHMARK)
     assert bmk.mode is Mode.BENCHMARK
     assert bmk.duration == 7.0
+    assert bmk.table_timeout == 6.0
     assert cfg.mode is Mode.COOPERATIVE  # original untouched
+    assert replace(bmk, mode=Mode.COOPERATIVE) == cfg
 
 
 def test_load_config_yaml(tmp_path):

@@ -10,7 +10,6 @@ from cesrsim.energy import (
     RadioState,
     TimeRegressionError,
     energy_per_bit,
-    total_energy,
 )
 
 SR = InterfaceKind.SHORT_RANGE
@@ -47,14 +46,15 @@ def test_ledger_simple_accounting():
     led.transition_state(SR, RadioState.RX, 3.0)   # tx [1, 3)
     led.transition_state(LR, RadioState.TX, 4.0)   # lr idle [0, 4)
     led.close(10.0)
-    assert led.state_seconds(SR, RadioState.IDLE) == pytest.approx(1.0)
-    assert led.state_seconds(SR, RadioState.TX) == pytest.approx(2.0)
-    assert led.state_seconds(SR, RadioState.RX) == pytest.approx(7.0)
-    assert led.state_seconds(LR, RadioState.IDLE) == pytest.approx(4.0)
-    assert led.state_seconds(LR, RadioState.TX) == pytest.approx(6.0)
+    assert led.seconds[SR][RadioState.IDLE] == pytest.approx(1.0)
+    assert led.seconds[SR][RadioState.TX] == pytest.approx(2.0)
+    assert led.seconds[SR][RadioState.RX] == pytest.approx(7.0)
+    assert led.seconds[LR][RadioState.IDLE] == pytest.approx(4.0)
+    assert led.seconds[LR][RadioState.TX] == pytest.approx(6.0)
     # 1*0.256 + 2*0.890 + 7*0.890 + 4*0.660 + 6*2.409
     expected = 1 * 0.256 + 9 * 0.890 + 4 * 0.660 + 6 * 2.409
-    assert total_energy(led, DEFAULT_PROFILES) == pytest.approx(expected, abs=1e-12)
+    energy = sum(led.interface_energy(i, DEFAULT_PROFILES[i]) for i in led.interfaces)
+    assert energy == pytest.approx(expected, abs=1e-12)
 
 
 def test_ledger_rejects_time_regression():
@@ -69,7 +69,7 @@ def test_ledger_single_interface_has_no_other_entries():
     led.close(2.0)
     assert led.interfaces == (LR,)
     assert SR not in led.seconds
-    assert total_energy(led, DEFAULT_PROFILES) == pytest.approx(2.0 * 0.660)
+    assert led.interface_energy(LR, DEFAULT_PROFILES[LR]) == pytest.approx(2.0 * 0.660)
 
 
 @settings(max_examples=80, deadline=None)
@@ -87,7 +87,7 @@ def test_ledger_time_conservation_and_homogeneity(times, states, scale):
         led.transition_state(SR, s, t)
     end = seq[-1] + 1.0
     led.close(end)
-    assert led.interface_seconds(SR) == pytest.approx(end, abs=1e-9)
+    assert sum(led.seconds[SR]) == pytest.approx(end, abs=1e-9)
     base = DEFAULT_PROFILES[SR]
     scaled = PowerProfile(base.tx_w * scale, base.rx_w * scale, base.idle_w * scale)
     e1 = led.interface_energy(SR, base)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cesrsim.config import Mode, SimConfig
@@ -80,8 +82,8 @@ def test_gain_requires_paired_runs():
 def test_end_to_end_paired_gain():
     sc = generate_scenario(Area(60, 20), 10, 2, 20.0, seed=8)
     cfg = SimConfig(duration=5.0, runs=2, cbr_rate=1000.0)
-    bmk = [run(cfg.with_mode(Mode.BENCHMARK), sc, i) for i in range(2)]
-    coop = [run(cfg.with_mode(Mode.COOPERATIVE), sc, i) for i in range(2)]
+    bmk = [run(replace(cfg, mode=Mode.BENCHMARK), sc, i) for i in range(2)]
+    coop = [run(replace(cfg, mode=Mode.COOPERATIVE), sc, i) for i in range(2)]
     g = gain(energy_efficiency(bmk), energy_efficiency(coop))
     assert g.benchmark.mode == "benchmark"
     assert g.cooperative.mode == "cooperative"

@@ -8,7 +8,6 @@ from cesrsim.plans import (
     SweepRow,
     SweepSchemaError,
     load_sweep_csv,
-    max_gain,
     parse_plan,
     run_point,
     run_sweep,
@@ -159,6 +158,12 @@ def test_load_sweep_csv_schema_errors(tmp_path):
     wrong.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(SweepSchemaError):
         load_sweep_csv(wrong)
+    good = "tiny,60.0,20.0,6,2,cbr_rate,100.0,2,1.0,0.9,1.0,1.0,0.1"
+    for bad_row in (good.rsplit(",", 1)[0], good.replace(",6,", ",six,")):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(SWEEP_COLUMNS) + f"\n{good}\n{bad_row}\n")
+        with pytest.raises(SweepSchemaError, match="line 3"):
+            load_sweep_csv(bad)
 
 
 def _row(area=(60.0, 20.0), ca=2, value=100.0, g=0.1):
@@ -183,4 +188,3 @@ def test_summarize_blocks_and_plot_data():
     assert "overall max gain: 30.0% at cbr_rate = 1000" in text
     assert plot["p_60x20_ca2"] == [(100.0, 0.1), (1000.0, 0.3)]
     assert plot["p_100x50_ca2"] == [(100.0, -0.2), (1000.0, 0.2)]
-    assert max_gain(rows) == pytest.approx(0.3)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,7 +133,3 @@ def test_scenario_from_text_rejects_garbage():
     with pytest.raises(ScenarioError):
         scenario_from_text("cesr-scenario v1\narea 10.0 10.0\ntx_range 5.0\nbs 5.0 5.0\nseed 1\n")
 
-
-def test_position_distance():
-    assert Position(0, 0).distance_to(Position(3, 4)) == 5.0
-    assert math.isclose(Position(1, 1).distance_to(Position(1, 1)), 0.0)
