@@ -102,6 +102,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    label = Path(args.config).stem
+    if not label.isascii():
+        # report.csv is ASCII; a failure there would come after every run
+        raise ConfigError(f"config file name must be ASCII, got {label!r}")
     cfg, both = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
@@ -131,7 +135,6 @@ def cmd_run(args) -> int:
         reports.append(energy_efficiency(stats))
 
     gain_report = gain(reports[0], reports[1]) if both else None
-    label = Path(args.config).stem
     write_report_csv(out / "report.csv", label, reports, gain_report)
     for rep in reports:
         print(f"{rep.mode}: {rep.eb_per_mb:.4f} J/Mb, {rep.goodput_mbps:.3f} Mb/s over {rep.runs} run(s)")

@@ -23,6 +23,21 @@ a shared long-range uplink over [0, duration) seconds:
   completion; beacons are lost at nodes whose medium view was busy (or that
   were themselves transmitting) when the beacon started.
 
+* Complete-medium path: when the area's diagonal is within the sensing
+  range and every node starts inside the area, every node senses every
+  other for the whole run, since nodes never leave the area.  At most one
+  transmission is then on the air at a time (the protocol interference
+  model of Gupta & Kumar, IEEE Trans. IT 2000), so the MAC keeps the frame
+  on the air, one accumulator ``busy`` of charged airtime and each node's
+  charged TX seconds, and at the end sets each node's short-range
+  RX = busy - own TX and IDLE = duration - busy.  That is exactly what the
+  per-node ledgers would hold, up to the order of float additions, without
+  2(n-1) ledger transitions per frame.  Deferred nodes wait in one queue
+  ordered by (first wait time, node id), and a beacon reaches every node
+  within tx_range of its sender, since no other radio is busy when a frame
+  starts.  The path is chosen once per run in ``Simulator.__init__``; every
+  other input takes the per-node path.
+
 Determinism: a single event queue ordered by (time, event kind, node id,
 sequence number); all randomness comes from per-run child streams of
 SeedSequence([master_seed, run_index]).
@@ -40,6 +55,7 @@ what --trace uses).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -223,12 +239,6 @@ class Simulator:
         # short-range medium
         self.sr_queues: list[deque] = [deque() for _ in range(n)]
         self.sr_cap = cfg.sr_queue_cap
-        self.sr_tx = [False] * n
-        self.rx_count = [0] * n
-        # transmissions covering each node, from the coverage snapshot taken
-        # at transmission start; a node's medium view is busy while > 0
-        self.busy_count = [0] * n
-        self.deferred: dict[int, float] = {}  # node -> first wait time
         self.nbrs: list[list[int]] = [[] for _ in range(n)]        # decode range
         self.nbrs_cs: list[list[int]] = [[] for _ in range(n)]     # sensing range
 
@@ -268,6 +278,34 @@ class Simulator:
                 scenario.positions(), cfg.mobility, self.rng_mob
             )
 
+        # Two nodes inside the area are at most its diagonal apart and nodes
+        # never leave it, so then every node senses every other for the whole
+        # run.  A scenario file may place nodes outside its area.
+        w, h = scenario.area.width, scenario.area.height
+        inside = all(0.0 <= x <= w and 0.0 <= y <= h for x, y in zip(self.px, self.py))
+        self._use_sr_path(inside and w * w + h * h <= self.cs_range2)
+
+    def _use_sr_path(self, complete: bool) -> None:
+        """Bind the short-range MAC handlers of one path and set up its state."""
+        n = self.n
+        self.complete_medium = complete
+        if complete:
+            self.air: tuple[int, float, bool] | None = None  # (sender, start, charged)
+            self.sr_busy = 0.0                 # charged airtime so far
+            self.sr_tx_s = [0.0] * n           # charged TX seconds per node
+            self.defer_q: list[tuple[float, int]] = []  # (first wait time, node)
+            self.waiting = [False] * n         # node is in defer_q
+            self._try_start_sr = self._try_start_sr_complete
+            self._h_sr_txend = self._h_sr_txend_complete
+        else:
+            self.sr_tx = [False] * n
+            self.rx_count = [0] * n
+            # transmissions covering each node, from the coverage snapshot
+            # taken at transmission start; a node's medium view is busy while > 0
+            self.busy_count = [0] * n
+            self.deferred: dict[int, float] = {}  # node -> first wait time
+            self._try_start_sr = self._try_start_sr_per_node
+            self._h_sr_txend = self._h_sr_txend_per_node
         self._rebuild_neighbors()
 
     # --- plumbing -----------------------------------------------------------
@@ -277,7 +315,9 @@ class Simulator:
         heappush(self.heap, (time, kind, node, self._seq, payload))
 
     def _rebuild_neighbors(self) -> None:
-        px, py, r2, cs2, n = self.px, self.py, self.range2, self.cs_range2, self.n
+        px, py, r2, n = self.px, self.py, self.range2, self.n
+        # the complete-medium path reads no sensing-range lists
+        cs2 = -1.0 if self.complete_medium else self.cs_range2
         nbrs: list[list[int]] = [[] for _ in range(n)]
         nbrs_cs: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
@@ -286,12 +326,12 @@ class Simulator:
                 dx = px[j] - xi
                 dy = py[j] - yi
                 d2 = dx * dx + dy * dy
+                if d2 <= r2:
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
                 if d2 <= cs2:
                     nbrs_cs[i].append(j)
                     nbrs_cs[j].append(i)
-                    if d2 <= r2:
-                        nbrs[i].append(j)
-                        nbrs[j].append(i)
         self.nbrs = nbrs
         self.nbrs_cs = nbrs_cs
 
@@ -421,9 +461,9 @@ class Simulator:
         else:
             self.uplink_busy = None
 
-    # --- short-range medium ---------------------------------------------------
+    # --- short-range medium: per-node path ------------------------------------
 
-    def _try_start_sr(self, node: int) -> None:
+    def _try_start_sr_per_node(self, node: int) -> None:
         if self.sr_tx[node]:
             return
         q = self.sr_queues[node]
@@ -442,7 +482,9 @@ class Simulator:
             self._unblock(src, self.now)
         now = self.now
         covered = self.nbrs[node]                # can decode: beacon delivery
-        covered_cs = list(self.nbrs_cs[node])    # sensing: blocking + RX energy
+        # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
+        # and never mutates old ones, so this reference is a snapshot
+        covered_cs = self.nbrs_cs[node]
         receivable: list[int] | None = None
         charge = True
         if kind == "B":
@@ -474,7 +516,7 @@ class Simulator:
             (kind, payload, nh, covered_cs, receivable, charge),
         )
 
-    def _h_sr_txend(self, sender: int, payload) -> None:
+    def _h_sr_txend_per_node(self, sender: int, payload) -> None:
         kind, item, nh, covered_cs, receivable, charge = payload
         self.sr_tx[sender] = False
         now = self.now
@@ -506,7 +548,12 @@ class Simulator:
                 if busy_count[n2] == 0:
                     self._try_start_sr(n2)
         self._try_start_sr(sender)
+        self._sr_received(sender, kind, item, nh, receivable)
+
+    def _sr_received(self, sender: int, kind: str, item, nh: int, receivable) -> None:
+        """Hand a finished frame to its receivers."""
         if kind == "B":
+            now = self.now
             for j in receivable:
                 self.routing[j].handle_beacon(item, now)
                 src = self.sources[j]
@@ -518,6 +565,68 @@ class Simulator:
                 self._on_sr_delivery(nh, item)
             else:
                 self.dropped_link[item.source] += 1
+
+    # --- short-range medium: complete-medium path -------------------------------
+
+    def _try_start_sr_complete(self, node: int) -> None:
+        q = self.sr_queues[node]
+        if not q:
+            return
+        air = self.air
+        if air is not None:
+            # every node but the sender senses the frame on the air
+            if air[0] != node and not self.waiting[node]:
+                self.waiting[node] = True
+                insort(self.defer_q, (self.now, node))
+            return
+        kind, payload, nh = q.popleft()
+        src = self.sources[node]
+        if src is not None and src.blocked == "SR":
+            # a queue slot just freed
+            self._unblock(src, self.now)
+        charge = True
+        if kind == "B":
+            charge = self.cfg.beacon_energy_counted
+            dur = self.dur_sr_beacon
+        else:
+            dur = self.dur_sr_data
+        # contention overhead: one slot per node still deferring
+        dur += self.cfg.contention_slot * len(self.defer_q)
+        self.air = (node, self.now, charge)
+        # no other radio is busy, so every decode-range neighbour receives;
+        # _rebuild_neighbors never mutates a list it has assigned
+        self._push(self.now + dur, _K_SR_TXEND, node, (kind, payload, nh, self.nbrs[node]))
+
+    def _h_sr_txend_complete(self, sender: int, payload) -> None:
+        kind, item, nh, receivable = payload
+        _, start, charged = self.air
+        self.air = None
+        if charged:
+            dt = self.now - start
+            self.sr_busy += dt
+            self.sr_tx_s[sender] += dt
+        # the medium is free: the node that has waited longest starts, then
+        # the sender retries (and defers if that node started)
+        if self.defer_q:
+            head = self.defer_q.pop(0)[1]
+            self.waiting[head] = False
+            self._try_start_sr_complete(head)
+        self._try_start_sr_complete(sender)
+        self._sr_received(sender, kind, item, nh, receivable)
+
+    def _close_complete_medium(self) -> None:
+        """Close the long-range ledgers and set every node's short-range
+        seconds from the airtime accumulators."""
+        duration = self.duration
+        if self.air is not None and self.air[2]:
+            sender, start, _ = self.air
+            self.sr_busy += duration - start
+            self.sr_tx_s[sender] += duration - start
+        busy = self.sr_busy
+        for ledger, tx in zip(self.ledgers, self.sr_tx_s):
+            ledger.transition_state(_LR, ledger.current_state[_LR], duration)
+            if self.coop:
+                ledger.seconds[_SR] = [tx, busy - tx, duration - busy]
 
     # --- periodic events --------------------------------------------------------
 
@@ -583,8 +692,14 @@ class Simulator:
                 self._h_mobility()
 
         self.now = duration
-        for ledger in self.ledgers:
-            ledger.close(duration)
+        if self.complete_medium:
+            self._close_complete_medium()
+        else:
+            for ledger in self.ledgers:
+                ledger.close(duration)
+        # the bound MAC handlers refer back to this simulator; dropping them
+        # lets reference counting free it once the caller lets go
+        del self._try_start_sr, self._h_sr_txend
         # arrivals due before the end that a blocked source never emitted
         for src in self.sources:
             if src is None:

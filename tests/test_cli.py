@@ -202,11 +202,15 @@ _INF = float("inf")
     ("sweep", {"config": [1]}),
     ("scenario", {"seed": "\u00e9"}),
     ("sweep", {"name": "caf\u00e9"}),
+    ("config-file", {"name": "caf\u00e9.yaml"}),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
     if command == "run":
         path = _write_config(tmp_path, yaml.safe_dump({**_CONFIG, **overrides}))
+        argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
+    elif command == "config-file":
+        path = _write_config(tmp_path, yaml.safe_dump(_CONFIG), overrides["name"])
         argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
     elif command == "scenario":
         # each override replaces the values of the first record with that key

@@ -1,10 +1,12 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesrsim.config import Mode, SimConfig
-from cesrsim.energy import InterfaceKind
+from cesrsim.energy import InterfaceKind, RadioState
 from cesrsim.mobility import MobilityParams
 from cesrsim.scenario import (
     Area, MtClass, Position, Scenario, ScenarioNode, generate_scenario, place_random,
@@ -13,6 +15,8 @@ from cesrsim.simcore import Simulator, _first_k_at_or_after, run
 
 SR = InterfaceKind.SHORT_RANGE
 LR = InterfaceKind.LONG_RANGE
+TX = RadioState.TX
+RX = RadioState.RX
 
 
 def _scenario(n=8, ca=2, area=(60, 20), seed=5, tx_range=20.0):
@@ -147,6 +151,11 @@ def _cases(draw):
     cbr_rate=3000.0, beacon_period=0.5, cs_range_factor=1.0, sr_queue_cap=5,
     uplink_queue_cap_per_node=5, class_a_generates=True, beacon_energy_counted=True,
 ))
+# complete sensing graph with moving nodes and uncharged beacons
+@example(case=_case(
+    60.0, 20.0, 10, 2, 3, mobile=True, mode=Mode.COOPERATIVE, duration=2.0,
+    cbr_rate=3000.0, beacon_period=0.5, beacon_energy_counted=False,
+))
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
     fast = run(cfg, sc, 0)
@@ -157,6 +166,46 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
         )
         for secs in fast.iface_seconds[i].values():
             assert sum(secs) == pytest.approx(cfg.duration, rel=1e-12)
+    sim = Simulator(cfg, sc, 0)
+    if not sim.complete_medium:
+        return
+    # the complete-medium path against the per-node path on the same inputs
+    sim._use_sr_path(False)
+    _assert_equal_up_to_rounding(fast, sim.execute())
+    if cfg.mode is Mode.COOPERATIVE:
+        # one transmission on the air at a time
+        total_tx = sum(secs[SR][TX] for secs in fast.iface_seconds)
+        assert total_tx <= cfg.duration * (1 + 1e-9)
+        for secs in fast.iface_seconds:
+            assert secs[SR][TX] + secs[SR][RX] == pytest.approx(total_tx, rel=1e-9)
+
+
+def _assert_equal_up_to_rounding(got, want):
+    """Integers and strings equal, floats within relative 1e-9."""
+    def walk(a, b, path):
+        if isinstance(b, float):
+            assert a == pytest.approx(b, rel=1e-9), path
+        elif isinstance(b, dict):
+            assert a.keys() == b.keys(), path
+            for k in b:
+                walk(a[k], b[k], f"{path}[{k!r}]")
+        elif isinstance(b, list):
+            assert len(a) == len(b), path
+            for k, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{path}[{k}]")
+        else:
+            assert a == b, path
+    walk(asdict(got), asdict(want), "stats")
+
+
+def test_complete_medium_path_needs_every_node_inside_a_sensed_area():
+    cfg = SimConfig(duration=1.0, runs=1)  # sensing range 6 * 20 m
+    sc = _scenario()
+    assert Simulator(cfg, sc, 0).complete_medium
+    assert not Simulator(cfg, replace(sc, area=Area(100.0, 80.0)), 0).complete_medium
+    # a node outside a small area could be beyond sensing range of the others
+    outside = replace(sc.nodes[0], position=Position(130.0, 0.0))
+    assert not Simulator(cfg, replace(sc, nodes=(outside, *sc.nodes[1:])), 0).complete_medium
 
 
 def test_class_a_generates_flag():
