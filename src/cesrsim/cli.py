@@ -144,12 +144,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     plan = load_plan(args.plan)
     if args.seed is not None:
         plan = replace(plan, base=replace(plan.base, master_seed=args.seed))
     out = Path(args.out)
     ensure_dir(out)
-    rows, failures = run_sweep(plan, parallel=max(1, args.parallel))
+    rows, failures = run_sweep(plan, parallel=args.parallel)
     if rows:
         write_sweep_csv(rows, out / "sweep.csv")
         summary, _ = summarize(rows)

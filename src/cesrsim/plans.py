@@ -223,10 +223,12 @@ def run_sweep(
     points = plan.points()
     rows: list[SweepRow] = []
     failures: list[tuple[SweepPoint, str]] = []
+    # the pool starts all its workers at the first submit
+    workers = min(parallel, len(points))
     with ExitStack() as stack:
         # one zero-argument callable per point that returns its row
-        if parallel > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallel))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = [pool.submit(run_point, p).result for p in points]
         else:
             results = [partial(run_point, p) for p in points]

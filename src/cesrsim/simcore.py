@@ -42,14 +42,26 @@ Determinism: a single event queue ordered by (time, event kind, node id,
 sequence number); all randomness comes from per-run child streams of
 SeedSequence([master_seed, run_index]).
 
-Saturated CBR sources are handled with an exact fast path: when a locally
-generated packet is dropped because its target queue is full, the source
-stops scheduling per-packet events.  Until the next event that could change
-the outcome (a queue slot freeing, a beacon updating the node's table, or
-the earliest neighbor-entry expiry), every arrival from that source would
-be dropped identically, so those drops are counted arithmetically when the
-source is woken.  Semantics are identical to the per-packet loop (which is
-what --trace uses).
+Saturated CBR sources are handled with an exact fast path.  A source blocks
+as soon as one of its own packets finds its target full, or is accepted and
+leaves it full: the uplink busy with the source's whole quota waiting, or the
+node's short-range queue at its cap after the MAC had its chance to start a
+frame.  A blocked source schedules no arrivals.  Only these events can
+change what its next arrival would meet, and each of them unblocks it:
+
+* a slot frees: the uplink dequeues a packet of that source, or the node
+  pops the head of its short-range queue;
+* a beacon updates the node's table;
+* the earliest expiry in the node's table, for a short-range block, since
+  the decision can then flip to long range (an expiry only removes
+  neighbours, so it cannot turn a long-range decision into a short-range
+  one).  That expiry never decreases, so a source keeps one recheck event
+  per expiry time rather than one per block.
+
+Until then every arrival would be dropped identically, so the unblock counts
+those drops arithmetically and resumes per-packet arrivals.  An early or
+spurious unblock only resumes the per-packet loop.  Results are identical to
+the per-packet loop without blocking, which is what --trace uses.
 """
 
 from __future__ import annotations
@@ -94,7 +106,7 @@ class Packet:
 class _Source:
     """State of one CBR stream: arrivals at phase + k/rate for k = 0, 1, ..."""
 
-    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "episode")
+    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "recheck_at")
 
     def __init__(self, node: int, period: float, phase: float, total_k: int):
         self.node = node
@@ -103,7 +115,8 @@ class _Source:
         self.next_k = 0
         self.total_k = total_k
         self.blocked: str | None = None  # None | "LR" | "SR"
-        self.episode = 0
+        # time of the latest recheck wanted, until its event fires
+        self.recheck_at: float | None = None
 
 
 def _first_k_at_or_after(phase: float, period: float, t: float) -> int:
@@ -350,13 +363,17 @@ class Simulator:
 
     def _block(self, src: _Source, target: str) -> None:
         src.blocked = target
-        src.episode += 1
-        if target == "SR" and self.coop:
-            # the decision could flip to long-range when the best entry
-            # expires; recheck then
+        if target == "SR":
+            # The decision could flip to long-range once an entry expires.
+            # Invariant: every SR-blocked source has a recheck pending at or
+            # before its table's earliest expiry.  That expiry never
+            # decreases while the table has a live entry, so a recheck
+            # already pending at te serves this block too.
             te = self.routing[src.node].earliest_expiry(self.now)
-            if te < self.duration:
-                self._push(te, _K_RECHECK, src.node, src.episode)
+            if te != src.recheck_at:
+                src.recheck_at = te
+                if te < self.duration:
+                    self._push(te, _K_RECHECK, src.node, None)
 
     def _unblock(self, src: _Source, tmin: float) -> None:
         """Account all batched drops strictly before tmin, then resume.
@@ -375,30 +392,34 @@ class Simulator:
             self.dropped_queue[src.node] += batched
         src.next_k = ks
         src.blocked = None
-        src.episode += 1
         self._schedule_arrival(src)
 
     def _h_arrival(self, node: int, k: int) -> None:
+        # only _h_arrival blocks and only _unblock re-arms, so an unblocked
+        # source has exactly this arrival pending and a blocked one none
         src = self.sources[node]
-        if src is None or src.blocked is not None or k != src.next_k:
-            return  # stale wake
         src.next_k = k + 1
         self.generated[node] += 1
         res = self._dispatch(node, Packet(node))
         if res == 0:
             self._schedule_arrival(src)
-        else:
+            return
+        if res > 0:
             self.dropped_queue[node] += 1
-            if self.trace is not None:
-                self._schedule_arrival(src)
-            else:
-                self._block(src, "LR" if res == 1 else "SR")
+        if self.trace is not None:
+            self._schedule_arrival(src)
+        else:
+            # the target is full, so the next arrival would be dropped
+            self._block(src, "LR" if res in (1, -1) else "SR")
 
     # --- forwarding ---------------------------------------------------------
 
     def _dispatch(self, node: int, pkt: Packet) -> int:
-        """Route one packet at `node`; 0 = consumed, 1 = LR queue full,
-        2 = SR queue full."""
+        """Route one packet at `node`.
+
+        0 = accepted; 1 / 2 = dropped, the LR / SR target was full;
+        -1 / -2 = accepted, and that left the LR / SR target full.
+        """
         nh = None
         if self.coop:
             nh = self.routing[node].forward_decision(self.now)
@@ -418,23 +439,24 @@ class Simulator:
                 return 0
             if self.up_queued[pkt.source] >= self.up_cap:
                 return 1
-            self.up_queued[pkt.source] += 1
+            queued = self.up_queued[pkt.source] + 1
+            self.up_queued[pkt.source] = queued
             self.uplink_wait.append((node, pkt))
-            return 0
+            return -1 if queued >= self.up_cap else 0
         q = self.sr_queues[node]
         if len(q) >= self.sr_cap:
             return 2
         pkt.hops += 1
         q.append(("D", pkt, nh))
         self._try_start_sr(node)
-        return 0
+        return -2 if len(q) >= self.sr_cap else 0
 
     def _on_sr_delivery(self, node: int, pkt: Packet) -> None:
         if pkt.hops >= self.hop_budget:
             self.dropped_hops[pkt.source] += 1
             return
         self.relayed[node] += 1
-        if self._dispatch(node, pkt) != 0:
+        if self._dispatch(node, pkt) > 0:
             self.dropped_queue[pkt.source] += 1
 
     # --- long-range uplink ----------------------------------------------------
@@ -636,11 +658,13 @@ class Simulator:
         self._try_start_sr(node)
         self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
 
-    def _h_recheck(self, node: int, episode: int) -> None:
+    def _h_recheck(self, node: int) -> None:
         src = self.sources[node]
-        if src is None or src.blocked != "SR" or src.episode != episode:
-            return
-        self._unblock(src, self.now)
+        if src.recheck_at != self.now:
+            return  # a later expiry superseded this one
+        src.recheck_at = None
+        if src.blocked == "SR":
+            self._unblock(src, self.now)
 
     def _h_mobility(self) -> None:
         params = self.cfg.mobility
@@ -687,7 +711,7 @@ class Simulator:
             elif kind == _K_BEACON:
                 self._h_beacon_due(node)
             elif kind == _K_RECHECK:
-                self._h_recheck(node, payload)
+                self._h_recheck(node)
             else:
                 self._h_mobility()
 

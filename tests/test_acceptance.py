@@ -7,6 +7,7 @@ tests).  The expensive experiment sweeps are shared via module fixtures.
 
 import heapq
 import math
+import os
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -31,9 +32,11 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _golden_sweep(name: str) -> list[SweepRow]:
-    """Sweep rows of plans/<name>.yaml, checked against tests/golden/<name>.csv:
-    ints and strings exactly, floats within a relative 1e-9."""
-    rows, failures = run_sweep(load_plan(PLANS_DIR / f"{name}.yaml"))
+    """Sweep rows of plans/<name>.yaml on every core, checked against
+    tests/golden/<name>.csv: ints and strings exactly, floats within a
+    relative 1e-9."""
+    rows, failures = run_sweep(load_plan(PLANS_DIR / f"{name}.yaml"),
+                               parallel=os.cpu_count() or 1)
     assert failures == []
     golden = load_sweep_csv(GOLDEN_DIR / f"{name}.csv")
     assert len(rows) == len(golden), f"{len(rows)} rows, golden {name}.csv has {len(golden)}"

@@ -203,6 +203,8 @@ _INF = float("inf")
     ("scenario", {"seed": "\u00e9"}),
     ("sweep", {"name": "caf\u00e9"}),
     ("config-file", {"name": "caf\u00e9.yaml"}),
+    ("parallel", {"--parallel": ["0"]}),
+    ("parallel", {"--parallel": ["-2"]}),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
@@ -222,6 +224,9 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         path = _write_config(tmp_path, yaml.safe_dump(_CONFIG))
         argv = ["run", "--config", str(path), "--scenario", str(bad)]
+    elif command == "parallel":
+        path = _write_config(tmp_path, yaml.safe_dump(_PLAN), "plan.yaml")
+        argv = ["sweep", "--plan", str(path), "--parallel", *overrides["--parallel"]]
     elif command == "generate":
         args = {**_GENERATE, **overrides}
         argv = ["generate", *(a for flag, values in args.items() for a in (flag, *values))]

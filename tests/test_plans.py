@@ -1,7 +1,9 @@
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
+import cesrsim.plans
 from cesrsim.config import ConfigError
 from cesrsim.plans import (
     SWEEP_COLUMNS,
@@ -109,6 +111,36 @@ def test_run_sweep_serial_matches_parallel():
     assert fails_s == [] and fails_p == []
     assert rows_s == rows_p
     assert [r.axis_value for r in rows_s] == [100.0, 1000.0]
+
+
+def test_run_sweep_starts_at_most_one_worker_per_point(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records the pool size and runs each point in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cesrsim.plans, "ProcessPoolExecutor", RecordingPool)
+    plan = _plan(config={"duration": 0.2, "runs": 1})
+    rows, failures = run_sweep(plan, parallel=64)
+    assert started == [2]
+    assert failures == [] and rows == run_sweep(plan)[0]
+    # a single point needs no pool at all
+    run_sweep(_plan(values=[100], config={"duration": 0.2, "runs": 1}), parallel=64)
+    assert started == [2]
 
 
 def test_parse_plan_rejects_class_a_counts_above_a_point_node_count():

@@ -156,6 +156,19 @@ def _cases(draw):
     60.0, 20.0, 10, 2, 3, mobile=True, mode=Mode.COOPERATIVE, duration=2.0,
     cbr_rate=3000.0, beacon_period=0.5, beacon_energy_counted=False,
 ))
+# one-slot queues and short table timeouts: sources block on a full
+# short-range queue, and the recheck at an entry's expiry unblocks them
+@example(case=_case(
+    60.0, 20.0, 10, 2, 0, mobile=False, mode=Mode.COOPERATIVE, duration=2.0,
+    cbr_rate=3000.0, beacon_period=0.2, cs_range_factor=1.0, sr_queue_cap=1,
+    uplink_queue_cap_per_node=1,
+))
+# a sender and the relay it just fed defer at the same instant, and both
+# reach the head of the complete-medium deferral queue
+@example(case=_case(
+    60.0, 20.0, 8, 1, 3, mobile=False, mode=Mode.COOPERATIVE, duration=1.0,
+    cbr_rate=1000.0, beacon_period=0.2,
+))
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
     fast = run(cfg, sc, 0)
