@@ -1,10 +1,11 @@
 """Per-interface radio energy accounting and energy-per-bit link costs.
 
 Each interface is in exactly one of TX/RX/IDLE at any time (there is no
-sleep state).  A ledger credits wall-clock time to the state an interface
-was in since its last transition; total energy is the sum of state power
-times state time.  Routing costs are the TX power divided by the achievable
-data rate, carried in J/Mb.
+sleep state), and its energy is the sum of state power times state seconds.
+A ledger credits wall-clock time to the state an interface was in since its
+last transition; the simulator keeps one per node for the long-range radio
+only, and short-range seconds in flat accumulators.  Routing costs are the
+TX power divided by the achievable data rate, carried in J/Mb.
 """
 
 from __future__ import annotations
@@ -64,27 +65,28 @@ def energy_per_bit(power_tx: float, rate_mbps: float) -> float:
     return power_tx / rate_mbps
 
 
+def interface_energy(seconds: list[float], profile: PowerProfile) -> float:
+    """Joules of one interface from its [TX, RX, IDLE] seconds."""
+    tx, rx, idle = seconds
+    return profile.tx_w * tx + profile.rx_w * rx + profile.idle_w * idle
+
+
 class EnergyLedger:
     """Time-in-state accounting for one node's radio interfaces.
 
-    Only the interfaces passed at construction exist in the ledger; a
-    single-interface (benchmark) node simply has no short-range entry.
-    All interfaces start in IDLE at ``start_time``.
+    Only the interfaces passed at construction exist in the ledger.  All
+    of them start in IDLE at time 0.
     """
 
     __slots__ = ("interfaces", "seconds", "current_state", "last_transition")
 
-    def __init__(self, interfaces: tuple[InterfaceKind, ...], start_time: float = 0.0):
+    def __init__(self, interfaces: tuple[InterfaceKind, ...]):
         self.interfaces = tuple(interfaces)
         self.seconds: dict[InterfaceKind, list[float]] = {
             iface: [0.0, 0.0, 0.0] for iface in self.interfaces
         }
-        self.current_state: dict[InterfaceKind, RadioState] = {
-            iface: RadioState.IDLE for iface in self.interfaces
-        }
-        self.last_transition: dict[InterfaceKind, float] = {
-            iface: start_time for iface in self.interfaces
-        }
+        self.current_state = dict.fromkeys(self.interfaces, RadioState.IDLE)
+        self.last_transition = dict.fromkeys(self.interfaces, 0.0)
 
     def transition_state(self, iface: InterfaceKind, new_state: RadioState, now: float) -> None:
         """Credit elapsed time to the previous state, then switch.
@@ -103,7 +105,3 @@ class EnergyLedger:
         """Credit all remaining time up to ``now``; the run is over."""
         for iface in self.interfaces:
             self.transition_state(iface, self.current_state[iface], now)
-
-    def interface_energy(self, iface: InterfaceKind, profile: PowerProfile) -> float:
-        secs = self.seconds[iface]
-        return profile.tx_w * secs[RadioState.TX] + profile.rx_w * secs[RadioState.RX] + profile.idle_w * secs[RadioState.IDLE]

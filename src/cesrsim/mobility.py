@@ -87,15 +87,19 @@ def gm_step(state: MobilityState, params: MobilityParams, rng: np.random.Generat
 
 
 def _fold(coord: float, limit: float) -> tuple[float, bool]:
-    """Mirror coord into [0, limit]; returns (folded, flipped_odd_times)."""
-    flipped = False
-    guard = 0
-    while coord < 0.0 or coord > limit:
-        coord = -coord if coord < 0.0 else 2.0 * limit - coord
-        flipped = not flipped
-        guard += 1
-        if guard > 1000:
-            raise ValueError("reflection did not converge (position too far outside area)")
+    """Mirror coord into [0, limit]; returns (folded, flipped_odd_times).
+
+    Mirrors repeat with period 2 * limit, so this is O(1); a single mirror is
+    -coord or 2 * limit - coord bit for bit, since % is exact.
+    """
+    flipped = coord < 0.0
+    if flipped:
+        coord = -coord
+    if coord > limit:
+        coord %= 2.0 * limit
+        flipped ^= coord == 0.0 or coord > limit  # 2k * limit folds to 0 by an odd count
+        if coord > limit:
+            coord = 2.0 * limit - coord
     return coord, flipped
 
 

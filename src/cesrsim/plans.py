@@ -150,12 +150,8 @@ def parse_plan(data: dict) -> ExperimentPlan:
         raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
     if axis == "mean_speed" and base.mobility is None:
         raise ConfigError("a mean_speed sweep needs mobility parameters in the base config")
-    name = str(data["name"])
-    if not name.isascii():
-        # sweep.csv is ASCII; a failure there would come after every point ran
-        raise ConfigError(f"plan name must be ASCII, got {name!r}")
     plan = ExperimentPlan(
-        name=name, axis=axis,
+        name=_check_plan_name(str(data["name"])), axis=axis,
         values=tuple(float(v) for v in values),
         areas=tuple((float(w), float(h)) for w, h in areas),
         n_total=n_total, class_a_counts=tuple(class_a_counts), base=base,
@@ -166,6 +162,14 @@ def parse_plan(data: dict) -> ExperimentPlan:
         except ValueError as exc:
             raise ConfigError(f"{axis} = {point.value:g}: {exc}") from exc
     return plan
+
+
+def _check_plan_name(name: str) -> str:
+    """A plan name goes into sweep.csv, which is ASCII, and into the names of
+    report's plot files; a sweep checks it before its first point."""
+    if not name.isascii() or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"plan name must be ASCII without '/', '\\' or NUL, got {name!r}")
+    return name
 
 
 def _is_area(area) -> bool:
@@ -265,6 +269,7 @@ def load_sweep_csv(path) -> list[SweepRow]:
                 )
             try:
                 rows.append(SweepRow(*(typ(cell) for typ, cell in zip(_SWEEP_TYPES, rec))))
+                _check_plan_name(rows[-1].plan)
             except ValueError as exc:
                 raise SweepSchemaError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:

@@ -17,26 +17,32 @@ a shared long-range uplink over [0, duration) seconds:
   sensing-range nodes in RX for the occupancy interval (a busy medium view
   means the radio is capturing a signal), while decoding a beacon or a
   unicast still requires being within tx_range.
-  A node with queued traffic defers while its local medium view is busy;
-  deferred nodes acquire the medium in (first-wait-time, node id) order.
+  A node with queued traffic defers while its local medium view is busy.
+  Deferred nodes wait in one queue ordered by (first wait time, node id);
+  a frame end retries, in that order, each one whose view is now clear.
   Unicast data delivery fails silently if the target is out of range at
   completion; beacons are lost at nodes whose medium view was busy (or that
   were themselves transmitting) when the beacon started.
+
+* Short-range seconds are flat per-node sums; only the long-range radio
+  keeps an ``EnergyLedger``.  Frames are charged unless they are beacons
+  and beacon energy is not counted.  TX is credited when a charged frame
+  ends.  A node is in RX while a charged frame covers it and its own is not
+  on the air, credited on the 0 <-> 1 edges of that count.  IDLE is the
+  rest of the run; frames on the air at the end are clipped there.
 
 * Complete-medium path: when the area's diagonal is within the sensing
   range and every node starts inside the area, every node senses every
   other for the whole run, since nodes never leave the area.  At most one
   transmission is then on the air at a time (the protocol interference
   model of Gupta & Kumar, IEEE Trans. IT 2000), so the MAC keeps the frame
-  on the air, one accumulator ``busy`` of charged airtime and each node's
-  charged TX seconds, and at the end sets each node's short-range
-  RX = busy - own TX and IDLE = duration - busy.  That is exactly what the
-  per-node ledgers would hold, up to the order of float additions, without
-  2(n-1) ledger transitions per frame.  Deferred nodes wait in one queue
-  ordered by (first wait time, node id), and a beacon reaches every node
-  within tx_range of its sender, since no other radio is busy when a frame
-  starts.  The path is chosen once per run in ``Simulator.__init__``; every
-  other input takes the per-node path.
+  on the air and one sum ``busy`` of charged airtime, and at the end sets
+  each node's RX = busy - own TX and IDLE = duration - busy, with no
+  per-frame work for the n - 1 receivers.  A frame end hands the medium to
+  the head of the deferral queue, and a beacon reaches every node within
+  tx_range of its sender, since no other radio is busy when a frame starts.
+  The path is chosen once per run in ``Simulator.__init__``; every other
+  input takes the per-node path.
 
 Determinism: a single event queue ordered by (time, event kind, node id,
 sequence number); all randomness comes from per-run child streams of
@@ -76,7 +82,7 @@ import numpy as np
 
 from . import mobility as mob
 from .config import Mode, SimConfig
-from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit
+from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit, interface_energy
 from .routing import NodeRoutingState
 from .scenario import MtClass, Scenario
 
@@ -91,7 +97,6 @@ _K_ARRIVAL = 5
 _SR = InterfaceKind.SHORT_RANGE
 _LR = InterfaceKind.LONG_RANGE
 _TX = RadioState.TX
-_RX = RadioState.RX
 _IDLE = RadioState.IDLE
 
 
@@ -226,19 +231,14 @@ class Simulator:
         self.dur_sr_beacon = self.beacon_mb / rates.sr_rate
         self.hop_budget = cfg.resolved_hop_budget(n)
 
-        ifaces = (_SR, _LR) if self.coop else (_LR,)
-        self.ledgers = [EnergyLedger(ifaces) for _ in range(n)]
+        self.ledgers = [EnergyLedger((_LR,)) for _ in range(n)]
 
         self.routing: list[NodeRoutingState] | None = None
         if self.coop:
             sr_cost = energy_per_bit(sr_power.tx_w, rates.sr_rate)
             self.routing = [
-                NodeRoutingState(
-                    i,
-                    lr_cost=energy_per_bit(lr_power.tx_w, self.lr_rate[i]),
-                    sr_cost=sr_cost,
-                    timeout=cfg.table_timeout,
-                )
+                NodeRoutingState(i, lr_cost=energy_per_bit(lr_power.tx_w, self.lr_rate[i]),
+                                 sr_cost=sr_cost, timeout=cfg.table_timeout)
                 for i in range(n)
             ]
 
@@ -252,8 +252,6 @@ class Simulator:
         # short-range medium
         self.sr_queues: list[deque] = [deque() for _ in range(n)]
         self.sr_cap = cfg.sr_queue_cap
-        self.nbrs: list[list[int]] = [[] for _ in range(n)]        # decode range
-        self.nbrs_cs: list[list[int]] = [[] for _ in range(n)]     # sensing range
 
         # stats
         self.generated = [0] * n
@@ -287,9 +285,7 @@ class Simulator:
 
         self.mob_states: list[mob.MobilityState] | None = None
         if cfg.mobility is not None:
-            self.mob_states = mob.init_states(
-                scenario.positions(), cfg.mobility, self.rng_mob
-            )
+            self.mob_states = mob.init_states(scenario.positions(), cfg.mobility, self.rng_mob)
 
         # Two nodes inside the area are at most its diagonal apart and nodes
         # never leave it, so then every node senses every other for the whole
@@ -302,21 +298,23 @@ class Simulator:
         """Bind the short-range MAC handlers of one path and set up its state."""
         n = self.n
         self.complete_medium = complete
+        self.defer_q: list[tuple[float, int]] = []  # (first wait time, node), in order
+        self.waiting: list[float | None] = [None] * n  # first wait time while in defer_q
+        self.sr_tx_s = [0.0] * n               # charged TX seconds per node
         if complete:
             self.air: tuple[int, float, bool] | None = None  # (sender, start, charged)
             self.sr_busy = 0.0                 # charged airtime so far
-            self.sr_tx_s = [0.0] * n           # charged TX seconds per node
-            self.defer_q: list[tuple[float, int]] = []  # (first wait time, node)
-            self.waiting = [False] * n         # node is in defer_q
             self._try_start_sr = self._try_start_sr_complete
             self._h_sr_txend = self._h_sr_txend_complete
         else:
-            self.sr_tx = [False] * n
-            self.rx_count = [0] * n
+            self.sr_tx = [False] * n           # any own frame on the air
+            self.tx_start: list[float | None] = [None] * n  # own charged frame's start
             # transmissions covering each node, from the coverage snapshot
             # taken at transmission start; a node's medium view is busy while > 0
             self.busy_count = [0] * n
-            self.deferred: dict[int, float] = {}  # node -> first wait time
+            self.rx_count = [0] * n            # the charged ones among them
+            self.rx_since = [0.0] * n          # start of the current RX interval
+            self.sr_rx_s = [0.0] * n
             self._try_start_sr = self._try_start_sr_per_node
             self._h_sr_txend = self._h_sr_txend_per_node
         self._rebuild_neighbors()
@@ -331,8 +329,8 @@ class Simulator:
         px, py, r2, n = self.px, self.py, self.range2, self.n
         # the complete-medium path reads no sensing-range lists
         cs2 = -1.0 if self.complete_medium else self.cs_range2
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        nbrs_cs: list[list[int]] = [[] for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]       # decode range
+        nbrs_cs: list[list[int]] = [[] for _ in range(n)]    # sensing range
         for i in range(n):
             xi, yi = px[i], py[i]
             for j in range(i + 1, n):
@@ -483,94 +481,29 @@ class Simulator:
         else:
             self.uplink_busy = None
 
-    # --- short-range medium: per-node path ------------------------------------
+    # --- short-range medium: both paths ---------------------------------------
 
-    def _try_start_sr_per_node(self, node: int) -> None:
-        if self.sr_tx[node]:
-            return
-        q = self.sr_queues[node]
-        if not q:
-            self.deferred.pop(node, None)
-            return
-        if self.busy_count[node] > 0:
-            if node not in self.deferred:
-                self.deferred[node] = self.now
-            return
-        self.deferred.pop(node, None)
-        kind, payload, nh = q.popleft()
+    def _defer(self, node: int) -> None:
+        """Queue a node that found its medium view busy; a node already
+        waiting keeps its first wait time."""
+        if self.waiting[node] is None:
+            self.waiting[node] = self.now
+            insort(self.defer_q, (self.now, node))
+
+    def _pop_frame(self, node: int) -> tuple:
+        """Pop the head of a node's queue to put it on the air; returns
+        (kind, payload, next hop, charged, airtime)."""
+        kind, payload, nh = self.sr_queues[node].popleft()
         src = self.sources[node]
         if src is not None and src.blocked == "SR":
             # a queue slot just freed
             self._unblock(src, self.now)
-        now = self.now
-        covered = self.nbrs[node]                # can decode: beacon delivery
-        # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
-        # and never mutates old ones, so this reference is a snapshot
-        covered_cs = self.nbrs_cs[node]
-        receivable: list[int] | None = None
-        charge = True
         if kind == "B":
-            receivable = [
-                j for j in covered if not self.sr_tx[j] and self.busy_count[j] == 0
-            ]
-            charge = self.cfg.beacon_energy_counted
-            dur = self.dur_sr_beacon
+            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
         else:
-            dur = self.dur_sr_data
+            charge, dur = True, self.dur_sr_data
         # contention overhead: one slot per node still deferring
-        dur += self.cfg.contention_slot * len(self.deferred)
-        self.sr_tx[node] = True
-        busy_count = self.busy_count
-        for j in covered_cs:
-            busy_count[j] += 1
-        if charge:
-            ledgers = self.ledgers
-            ledgers[node].transition_state(_SR, _TX, now)
-            rx_count = self.rx_count
-            sr_tx = self.sr_tx
-            for j in covered_cs:
-                c = rx_count[j] + 1
-                rx_count[j] = c
-                if c == 1 and not sr_tx[j]:
-                    ledgers[j].transition_state(_SR, _RX, now)
-        self._push(
-            now + dur, _K_SR_TXEND, node,
-            (kind, payload, nh, covered_cs, receivable, charge),
-        )
-
-    def _h_sr_txend_per_node(self, sender: int, payload) -> None:
-        kind, item, nh, covered_cs, receivable, charge = payload
-        self.sr_tx[sender] = False
-        now = self.now
-        busy_count = self.busy_count
-        for j in covered_cs:
-            busy_count[j] -= 1
-        if charge:
-            ledgers = self.ledgers
-            rx_count = self.rx_count
-            sr_tx = self.sr_tx
-            for j in covered_cs:
-                c = rx_count[j] - 1
-                rx_count[j] = c
-                if c == 0 and not sr_tx[j]:
-                    ledgers[j].transition_state(_SR, _IDLE, now)
-            ledgers[sender].transition_state(
-                _SR, _RX if rx_count[sender] > 0 else _IDLE, now
-            )
-        # medium freed inside the sensing set: deferred nodes there retry
-        # in (first-wait-time, node id) order, then the sender itself
-        if self.deferred:
-            in_cov = set(covered_cs)
-            cands = sorted(
-                (ws, n2) for n2, ws in self.deferred.items() if n2 in in_cov
-            )
-            for _, n2 in cands:
-                # still-covered candidates stay deferred with their original
-                # wait time; only a clear view is worth the call
-                if busy_count[n2] == 0:
-                    self._try_start_sr(n2)
-        self._try_start_sr(sender)
-        self._sr_received(sender, kind, item, nh, receivable)
+        return kind, payload, nh, charge, dur + self.cfg.contention_slot * len(self.defer_q)
 
     def _sr_received(self, sender: int, kind: str, item, nh: int, receivable) -> None:
         """Hand a finished frame to its receivers."""
@@ -588,6 +521,97 @@ class Simulator:
             else:
                 self.dropped_link[item.source] += 1
 
+    def _close_sr(self) -> list[list[float]]:
+        """Clip the frames still on the air at the end of the run and return
+        each node's short-range [TX, RX, IDLE] seconds."""
+        duration = self.duration
+        tx_s = self.sr_tx_s
+        if self.complete_medium:
+            if self.air is not None and self.air[2]:
+                sender, start, _ = self.air
+                self.sr_busy += duration - start
+                tx_s[sender] += duration - start
+            busy = self.sr_busy
+            return [[tx, busy - tx, duration - busy] for tx in tx_s]
+        rx_s = self.sr_rx_s
+        for j, start in enumerate(self.tx_start):
+            if start is not None:
+                tx_s[j] += duration - start
+            elif self.rx_count[j] > 0:
+                rx_s[j] += duration - self.rx_since[j]
+        return [[tx, rx, duration - tx - rx] for tx, rx in zip(tx_s, rx_s)]
+
+    # --- short-range medium: per-node path ------------------------------------
+
+    def _try_start_sr_per_node(self, node: int) -> None:
+        if self.sr_tx[node]:
+            return
+        q = self.sr_queues[node]
+        if not q:
+            return
+        if self.busy_count[node] > 0:
+            self._defer(node)
+            return
+        waited = self.waiting[node]
+        if waited is not None:
+            self.waiting[node] = None
+            self.defer_q.remove((waited, node))
+        kind, payload, nh, charge, dur = self._pop_frame(node)
+        now = self.now
+        busy_count = self.busy_count
+        receivable = None
+        if kind == "B":  # delivered where a decode-range view is clear
+            receivable = [j for j in self.nbrs[node] if not self.sr_tx[j] and busy_count[j] == 0]
+        # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
+        # and never mutates old ones, so this reference is a snapshot
+        covered_cs = self.nbrs_cs[node]
+        self.sr_tx[node] = True
+        for j in covered_cs:
+            busy_count[j] += 1
+        if charge:
+            tx_start = self.tx_start
+            tx_start[node] = now
+            rx_count = self.rx_count
+            rx_since = self.rx_since
+            for j in covered_cs:
+                c = rx_count[j] + 1
+                rx_count[j] = c
+                if c == 1 and tx_start[j] is None:
+                    rx_since[j] = now
+        self._push(now + dur, _K_SR_TXEND, node,
+                   (kind, payload, nh, covered_cs, receivable, charge))
+
+    def _h_sr_txend_per_node(self, sender: int, payload) -> None:
+        kind, item, nh, covered_cs, receivable, charge = payload
+        self.sr_tx[sender] = False
+        now = self.now
+        busy_count = self.busy_count
+        for j in covered_cs:
+            busy_count[j] -= 1
+        if charge:
+            tx_start = self.tx_start
+            rx_count = self.rx_count
+            rx_since = self.rx_since
+            sr_rx_s = self.sr_rx_s
+            for j in covered_cs:
+                c = rx_count[j] - 1
+                rx_count[j] = c
+                if c == 0 and tx_start[j] is None:
+                    sr_rx_s[j] += now - rx_since[j]
+            self.sr_tx_s[sender] += now - tx_start[sender]
+            tx_start[sender] = None
+            if rx_count[sender] > 0:
+                rx_since[sender] = now
+        # medium freed inside the sensing set: deferred nodes with a clear
+        # view retry in queue order, then the sender itself.  Every deferred
+        # node outside covered_cs still senses a frame, so the walk skips it;
+        # one that starts leaves the queue, hence the copy.
+        for _, n2 in self.defer_q[:]:
+            if busy_count[n2] == 0:
+                self._try_start_sr(n2)
+        self._try_start_sr(sender)
+        self._sr_received(sender, kind, item, nh, receivable)
+
     # --- short-range medium: complete-medium path -------------------------------
 
     def _try_start_sr_complete(self, node: int) -> None:
@@ -597,23 +621,10 @@ class Simulator:
         air = self.air
         if air is not None:
             # every node but the sender senses the frame on the air
-            if air[0] != node and not self.waiting[node]:
-                self.waiting[node] = True
-                insort(self.defer_q, (self.now, node))
+            if air[0] != node:
+                self._defer(node)
             return
-        kind, payload, nh = q.popleft()
-        src = self.sources[node]
-        if src is not None and src.blocked == "SR":
-            # a queue slot just freed
-            self._unblock(src, self.now)
-        charge = True
-        if kind == "B":
-            charge = self.cfg.beacon_energy_counted
-            dur = self.dur_sr_beacon
-        else:
-            dur = self.dur_sr_data
-        # contention overhead: one slot per node still deferring
-        dur += self.cfg.contention_slot * len(self.defer_q)
+        kind, payload, nh, charge, dur = self._pop_frame(node)
         self.air = (node, self.now, charge)
         # no other radio is busy, so every decode-range neighbour receives;
         # _rebuild_neighbors never mutates a list it has assigned
@@ -631,24 +642,10 @@ class Simulator:
         # the sender retries (and defers if that node started)
         if self.defer_q:
             head = self.defer_q.pop(0)[1]
-            self.waiting[head] = False
+            self.waiting[head] = None
             self._try_start_sr_complete(head)
         self._try_start_sr_complete(sender)
         self._sr_received(sender, kind, item, nh, receivable)
-
-    def _close_complete_medium(self) -> None:
-        """Close the long-range ledgers and set every node's short-range
-        seconds from the airtime accumulators."""
-        duration = self.duration
-        if self.air is not None and self.air[2]:
-            sender, start, _ = self.air
-            self.sr_busy += duration - start
-            self.sr_tx_s[sender] += duration - start
-        busy = self.sr_busy
-        for ledger, tx in zip(self.ledgers, self.sr_tx_s):
-            ledger.transition_state(_LR, ledger.current_state[_LR], duration)
-            if self.coop:
-                ledger.seconds[_SR] = [tx, busy - tx, duration - busy]
 
     # --- periodic events --------------------------------------------------------
 
@@ -716,11 +713,9 @@ class Simulator:
                 self._h_mobility()
 
         self.now = duration
-        if self.complete_medium:
-            self._close_complete_medium()
-        else:
-            for ledger in self.ledgers:
-                ledger.close(duration)
+        for ledger in self.ledgers:
+            ledger.close(duration)
+        sr_seconds = self._close_sr()
         # the bound MAC handlers refer back to this simulator; dropping them
         # lets reference counting free it once the caller lets go
         del self._try_start_sr, self._h_sr_txend
@@ -733,9 +728,9 @@ class Simulator:
                 self.generated[src.node] += pending
                 self.dropped_queue[src.node] += pending
                 src.next_k = src.total_k
-        return self._collect()
+        return self._collect(sr_seconds)
 
-    def _collect(self) -> RunStats:
+    def _collect(self, sr_seconds: list[list[float]]) -> RunStats:
         in_flight = [0] * self.n
         if self.uplink_busy is not None:
             in_flight[self.uplink_busy[1].source] += 1
@@ -751,18 +746,14 @@ class Simulator:
             if kind == _K_SR_TXEND and payload[0] == "D":
                 in_flight[payload[1].source] += 1
         profiles = self.cfg.power_profiles
-        iface_seconds = []
-        iface_energy = []
-        for ledger in self.ledgers:
-            iface_seconds.append(
-                {iface: list(ledger.seconds[iface]) for iface in ledger.interfaces}
-            )
-            iface_energy.append(
-                {
-                    iface: ledger.interface_energy(iface, profiles[iface])
-                    for iface in ledger.interfaces
-                }
-            )
+        iface_seconds = [
+            {_SR: sr, _LR: ledger.seconds[_LR]} if self.coop else {_LR: ledger.seconds[_LR]}
+            for sr, ledger in zip(sr_seconds, self.ledgers)
+        ]
+        iface_energy = [
+            {iface: interface_energy(secs, profiles[iface]) for iface, secs in node.items()}
+            for node in iface_seconds
+        ]
         return RunStats(
             run_index=self.run_index,
             mode=self.cfg.mode.value,

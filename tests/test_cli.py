@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+from cesrsim.plans import SWEEP_COLUMNS
 from cesrsim.scenario import load_scenario
 
 
@@ -163,6 +164,9 @@ def test_sweep_invalid_plan_exits_invalid(tmp_path):
 _CONFIG = {"duration": 1, "runs": 1, "cbr_rate": 100, "mode": "both"}
 _PLAN = {"name": "p", "axis": "cbr_rate", "values": [100], "areas": [[60, 20]],
          "n_total": 6, "class_a_counts": [2], "config": {"duration": 1, "runs": 1}}
+_SWEEP_ROW = dict(zip(SWEEP_COLUMNS, [
+    "p", 60.0, 20.0, 6, 2, "cbr_rate", 100.0, 1, 0.1, 0.05, 1.0, 1.0, 0.5,
+]))
 _GENERATE = {"--area": ["60", "20"], "--nodes": ["1"], "--class-a": ["0"]}
 _NAN = float("nan")
 _INF = float("inf")
@@ -205,6 +209,11 @@ _INF = float("inf")
     ("config-file", {"name": "caf\u00e9.yaml"}),
     ("parallel", {"--parallel": ["0"]}),
     ("parallel", {"--parallel": ["-2"]}),
+    ("sweep", {"name": "a/b"}),
+    ("sweep", {"name": "a\\b"}),
+    ("sweep", {"name": "a\0b"}),
+    ("report", {"plan": "a/b"}),
+    ("report", {"plan": "a\0b"}),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
@@ -227,6 +236,11 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
     elif command == "parallel":
         path = _write_config(tmp_path, yaml.safe_dump(_PLAN), "plan.yaml")
         argv = ["sweep", "--plan", str(path), "--parallel", *overrides["--parallel"]]
+    elif command == "report":
+        path = tmp_path / "sweep.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([SWEEP_COLUMNS, {**_SWEEP_ROW, **overrides}.values()])
+        argv = ["report", "--sweep", str(path)]
     elif command == "generate":
         args = {**_GENERATE, **overrides}
         argv = ["generate", *(a for flag, values in args.items() for a in (flag, *values))]

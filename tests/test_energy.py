@@ -10,6 +10,7 @@ from cesrsim.energy import (
     RadioState,
     TimeRegressionError,
     energy_per_bit,
+    interface_energy,
 )
 
 SR = InterfaceKind.SHORT_RANGE
@@ -53,7 +54,7 @@ def test_ledger_simple_accounting():
     assert led.seconds[LR][RadioState.TX] == pytest.approx(6.0)
     # 1*0.256 + 2*0.890 + 7*0.890 + 4*0.660 + 6*2.409
     expected = 1 * 0.256 + 9 * 0.890 + 4 * 0.660 + 6 * 2.409
-    energy = sum(led.interface_energy(i, DEFAULT_PROFILES[i]) for i in led.interfaces)
+    energy = sum(interface_energy(led.seconds[i], DEFAULT_PROFILES[i]) for i in led.interfaces)
     assert energy == pytest.approx(expected, abs=1e-12)
 
 
@@ -69,7 +70,7 @@ def test_ledger_single_interface_has_no_other_entries():
     led.close(2.0)
     assert led.interfaces == (LR,)
     assert SR not in led.seconds
-    assert led.interface_energy(LR, DEFAULT_PROFILES[LR]) == pytest.approx(2.0 * 0.660)
+    assert interface_energy(led.seconds[LR], DEFAULT_PROFILES[LR]) == pytest.approx(2.0 * 0.660)
 
 
 @settings(max_examples=80, deadline=None)
@@ -90,8 +91,8 @@ def test_ledger_time_conservation_and_homogeneity(times, states, scale):
     assert sum(led.seconds[SR]) == pytest.approx(end, abs=1e-9)
     base = DEFAULT_PROFILES[SR]
     scaled = PowerProfile(base.tx_w * scale, base.rx_w * scale, base.idle_w * scale)
-    e1 = led.interface_energy(SR, base)
-    e2 = led.interface_energy(SR, scaled)
+    e1 = interface_energy(led.seconds[SR], base)
+    e2 = interface_energy(led.seconds[SR], scaled)
     assert e2 == pytest.approx(scale * e1, rel=1e-12)
 
 

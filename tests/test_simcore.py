@@ -69,7 +69,7 @@ def test_cooperative_counts_beacon_energy_only_when_enabled():
     rs_off = run(SimConfig(beacon_energy_counted=False, **base), sc, 0)
     rs_on = run(SimConfig(beacon_energy_counted=True, **base), sc, 0)
     for i in range(rs_off.n_nodes):
-        # beacons still circulate, but the ledger never leaves IDLE
+        # beacons still circulate, but the short-range radio never leaves IDLE
         assert rs_off.iface_energy[i][SR] == pytest.approx(50.0 * 0.256, abs=1e-9)
         assert rs_on.iface_energy[i][SR] > rs_off.iface_energy[i][SR]
 
@@ -179,6 +179,7 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
         )
         for secs in fast.iface_seconds[i].values():
             assert sum(secs) == pytest.approx(cfg.duration, rel=1e-12)
+            assert min(secs) >= 0.0
     sim = Simulator(cfg, sc, 0)
     if not sim.complete_medium:
         return
@@ -191,6 +192,28 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
         assert total_tx <= cfg.duration * (1 + 1e-9)
         for secs in fast.iface_seconds:
             assert secs[SR][TX] + secs[SR][RX] == pytest.approx(total_tx, rel=1e-9)
+
+
+def test_partial_sensing_short_range_seconds_per_clique():
+    # two cliques of 5 nodes, 380 m apart, beyond the 120 m sensing range:
+    # inside a clique one frame is on the air at a time and every node
+    # senses it, so each node's short-range TX + RX is its clique's TX
+    xs = [5.0 + 2.0 * k for k in range(5)] + [385.0 + 2.0 * k for k in range(5)]
+    nodes = tuple(
+        ScenarioNode(i, Position(x, 10.0), MtClass.CLASS_A if i % 5 == 0 else MtClass.CLASS_B)
+        for i, x in enumerate(xs)
+    )
+    sc = Scenario(Area(400.0, 20.0), nodes, 20.0, Position(200.0, 10.0), 0)
+    cfg = SimConfig(duration=2.0, runs=1, cbr_rate=3000.0, beacon_period=0.2)
+    sim = Simulator(cfg, sc, 0)
+    assert not sim.complete_medium
+    rs = sim.execute()
+    for clique in (range(5), range(5, 10)):
+        total_tx = sum(rs.iface_seconds[i][SR][TX] for i in clique)
+        assert total_tx > 0.0
+        for i in clique:
+            secs = rs.iface_seconds[i][SR]
+            assert secs[TX] + secs[RX] == pytest.approx(total_tx, rel=1e-9)
 
 
 def _assert_equal_up_to_rounding(got, want):
