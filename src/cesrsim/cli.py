@@ -134,12 +134,12 @@ def cmd_run(args) -> int:
         write_aggregate_csv(stats, mode_dir / "aggregate.csv")
         reports.append(energy_efficiency(stats))
 
-    gain_report = gain(reports[0], reports[1]) if both else None
-    write_report_csv(out / "report.csv", label, reports, gain_report)
+    g = gain(reports[0], reports[1]) if both else None
+    write_report_csv(out / "report.csv", label, reports, g)
     for rep in reports:
         print(f"{rep.mode}: {rep.eb_per_mb:.4f} J/Mb, {rep.goodput_mbps:.3f} Mb/s over {rep.runs} run(s)")
-    if gain_report is not None:
-        print(f"gain over benchmark: {100 * gain_report.gain:.1f}%")
+    if g is not None:
+        print(f"gain over benchmark: {100 * g:.1f}%")
     return EXIT_OK
 
 

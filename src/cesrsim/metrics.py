@@ -44,13 +44,6 @@ class EfficiencyReport:
     per_run: tuple[RunDetail, ...]
 
 
-@dataclass(frozen=True)
-class GainReport:
-    benchmark: EfficiencyReport
-    cooperative: EfficiencyReport
-    gain: float  # 1 - coop/benchmark
-
-
 def energy_efficiency(run_stats: list[RunStats]) -> EfficiencyReport:
     if not run_stats:
         raise ValueError("need at least one run")
@@ -82,12 +75,12 @@ def energy_efficiency(run_stats: list[RunStats]) -> EfficiencyReport:
     )
 
 
-def gain(benchmark: EfficiencyReport, cooperative: EfficiencyReport) -> GainReport:
+def gain(benchmark: EfficiencyReport, cooperative: EfficiencyReport) -> float:
+    """1 - coop/benchmark over two reports of the same runs."""
     bmk_keys = [(d.run_index, d.scenario_seed) for d in benchmark.per_run]
     coop_keys = [(d.run_index, d.scenario_seed) for d in cooperative.per_run]
     if bmk_keys != coop_keys:
         raise MismatchedRunSetError(
             "benchmark and cooperative reports cover different runs/scenarios"
         )
-    g = 1.0 - cooperative.eb_per_mb / benchmark.eb_per_mb
-    return GainReport(benchmark=benchmark, cooperative=cooperative, gain=g)
+    return 1.0 - cooperative.eb_per_mb / benchmark.eb_per_mb

@@ -10,7 +10,7 @@ import csv
 import os
 
 from .energy import InterfaceKind, RadioState
-from .metrics import EfficiencyReport, GainReport
+from .metrics import EfficiencyReport
 from .simcore import RunStats
 
 NODE_COLUMNS = [
@@ -80,12 +80,10 @@ def write_mobility_trace_csv(rows, path) -> None:
 
 
 def write_report_csv(path, label: str, reports: list[EfficiencyReport],
-                     gain_report: GainReport | None) -> None:
+                     gain: float | None) -> None:
     rows = []
     for rep in reports:
-        g = ""
-        if gain_report is not None and rep.mode == "cooperative":
-            g = gain_report.gain
+        g = gain if gain is not None and rep.mode == "cooperative" else ""
         rows.append([label, rep.mode, rep.runs, rep.eb_per_mb, rep.goodput_mbps, g])
     write_rows(path, REPORT_COLUMNS, rows)
 

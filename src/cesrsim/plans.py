@@ -202,7 +202,6 @@ def run_point(point: SweepPoint) -> SweepRow:
         coop_stats.append(run(coop_cfg, scenario, run_index))
     bmk_rep = energy_efficiency(bmk_stats)
     coop_rep = energy_efficiency(coop_stats)
-    g = gain(bmk_rep, coop_rep)
     return SweepRow(
         plan=point.plan.name,
         area_w=point.area[0],
@@ -216,7 +215,7 @@ def run_point(point: SweepPoint) -> SweepRow:
         coop_eb_per_mb=coop_rep.eb_per_mb,
         bmk_goodput_mbps=bmk_rep.goodput_mbps,
         coop_goodput_mbps=coop_rep.goodput_mbps,
-        gain=g.gain,
+        gain=gain(bmk_rep, coop_rep),
     )
 
 
@@ -255,23 +254,24 @@ class SweepSchemaError(ValueError):
 def load_sweep_csv(path) -> list[SweepRow]:
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SweepSchemaError(f"{path}: empty sweep CSV") from None
-        if header != SWEEP_COLUMNS:
-            raise SweepSchemaError(f"{path}: unexpected columns {header}")
         rows = []
-        for rec in reader:
-            if len(rec) != len(SWEEP_COLUMNS):
-                raise SweepSchemaError(
-                    f"{path} line {reader.line_num}: {len(rec)} cells, want {len(SWEEP_COLUMNS)}"
-                )
-            try:
-                rows.append(SweepRow(*(typ(cell) for typ, cell in zip(_SWEEP_TYPES, rec))))
-                _check_plan_name(rows[-1].plan)
-            except ValueError as exc:
-                raise SweepSchemaError(f"{path} line {reader.line_num}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SweepSchemaError(f"{path}: empty sweep CSV")
+            if header != SWEEP_COLUMNS:
+                raise SweepSchemaError(f"{path}: unexpected columns {header}")
+            for rec in reader:
+                if len(rec) != len(SWEEP_COLUMNS):
+                    raise SweepSchemaError(f"{path} line {reader.line_num}: "
+                                           f"{len(rec)} cells, want {len(SWEEP_COLUMNS)}")
+                try:
+                    rows.append(SweepRow(*(typ(cell) for typ, cell in zip(_SWEEP_TYPES, rec))))
+                    _check_plan_name(rows[-1].plan)
+                except ValueError as exc:
+                    raise SweepSchemaError(f"{path} line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+            raise SweepSchemaError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise SweepSchemaError(f"{path}: sweep CSV has no data rows")
     return rows

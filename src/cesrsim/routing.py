@@ -3,11 +3,12 @@
 A distance-vector variant for infrastructure networks.  Every cooperating
 node periodically broadcasts a beacon carrying the lowest energy-per-bit
 cost at which it can currently reach the base station (directly over its
-long-range link or through a neighbor chain).  On every data packet a node
-compares its best via-neighbor cost against its own long-range cost and
-forwards accordingly.  Costs strictly increase along a relay chain (every
-short-range hop adds a positive cost), so steady-state routes are loop-free
-without sequence numbers or split horizon.
+long-range link or through a neighbor chain).  A beacon is just that cost:
+its sender is the sender of the frame that carries it.  On every data
+packet a node compares its best via-neighbor cost against its own
+long-range cost and forwards accordingly.  Costs strictly increase along
+a relay chain (every short-range hop adds a positive cost), so steady-state
+routes are loop-free without sequence numbers or split horizon.
 
 Tie-breaking: equal via-neighbor and long-range cost resolves to the
 long-range link (no extra hop at equal cost); equal-cost neighbors resolve
@@ -17,21 +18,6 @@ to the lowest node id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-class SelfBeaconError(ValueError):
-    """A node attempted to insert itself into its own neighbor table."""
-
-
-@dataclass(frozen=True)
-class Beacon:
-    sender_id: int
-    advertised_cost: float  # J/Mb
-
-    def __post_init__(self):
-        if self.advertised_cost <= 0:
-            raise ValueError("advertised_cost must be positive")
 
 
 class NodeRoutingState:
@@ -39,9 +25,11 @@ class NodeRoutingState:
 
     The table maps neighbor id -> (advertised cost, last heard).  An entry
     older than the timeout is stale: every lookup skips it, and a fresh
-    beacon from that neighbor overwrites it.
+    beacon from that neighbor overwrites it.  Advertised costs are positive,
+    since both link costs are, and a node's neighbours never include itself,
+    so the table holds no entry for the node's own id.
 
-    best_neighbor/advertised_cost/forward_decision are memoized between
+    best_neighbor/make_beacon/forward_decision are memoized between
     table changes; the cache stays valid while time advances without any
     entry expiring, which keeps per-packet decisions O(1) in steady state.
     """
@@ -67,11 +55,9 @@ class NodeRoutingState:
         self._cache_expiry = -math.inf
         self._cache_best: tuple[int | None, float] = (None, math.inf)
 
-    def handle_beacon(self, beacon: Beacon, now: float) -> None:
+    def handle_beacon(self, sender: int, cost: float, now: float) -> None:
         """Upsert the sender's entry with its advertised cost and timestamp."""
-        if beacon.sender_id == self.node_id:
-            raise SelfBeaconError(f"node {self.node_id} received its own beacon")
-        self.entries[beacon.sender_id] = (beacon.advertised_cost, now)
+        self.entries[sender] = (cost, now)
         self._epoch += 1
 
     def earliest_expiry(self, now: float) -> float:
@@ -112,11 +98,6 @@ class NodeRoutingState:
         self._cache_best = (best_id, best_cost)
         return self._cache_best
 
-    def advertised_cost(self, now: float) -> float:
-        """Cost carried in this node's beacons: min(best via-neighbor, own LR)."""
-        _, via = self.best_neighbor(now)
-        return via if via < self.lr_cost else self.lr_cost
-
     def forward_decision(self, now: float) -> int | None:
         """Next hop for a short-range relay, or None for the long-range link.
 
@@ -125,5 +106,7 @@ class NodeRoutingState:
         best_id, via = self.best_neighbor(now)
         return best_id if via < self.lr_cost else None
 
-    def make_beacon(self, now: float) -> Beacon:
-        return Beacon(sender_id=self.node_id, advertised_cost=self.advertised_cost(now))
+    def make_beacon(self, now: float) -> float:
+        """Cost carried in this node's beacons: min(best via-neighbor, own LR)."""
+        _, via = self.best_neighbor(now)
+        return via if via < self.lr_cost else self.lr_cost

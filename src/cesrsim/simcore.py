@@ -24,6 +24,12 @@ a shared long-range uplink over [0, duration) seconds:
   completion; beacons are lost at nodes whose medium view was busy (or that
   were themselves transmitting) when the beacon started.
 
+* Everything queued, on the air or delivered is a plain value.  A packet is
+  (source, hops); enqueueing it for a short-range hop queues a copy with
+  hops + 1.  A short-range frame is (next hop, payload): a data frame carries
+  a packet, and next hop -1 marks a beacon, whose payload is the cost it
+  advertises.
+
 * Short-range seconds are flat per-node sums; only the long-range radio
   keeps an ``EnergyLedger``.  Frames are charged unless they are beacons
   and beacon energy is not counted.  TX is credited when a charged frame
@@ -100,14 +106,6 @@ _TX = RadioState.TX
 _IDLE = RadioState.IDLE
 
 
-class Packet:
-    __slots__ = ("source", "hops")
-
-    def __init__(self, source: int):
-        self.source = source
-        self.hops = 0
-
-
 class _Source:
     """State of one CBR stream: arrivals at phase + k/rate for k = 0, 1, ..."""
 
@@ -154,7 +152,6 @@ class RunStats:
     relayed: list[int]
     hops_sum: list[int]
     in_flight: list[int]
-    hop_hist: dict[int, int]
     # per node: iface -> [tx_s, rx_s, idle_s] and iface -> joules
     iface_seconds: list[dict[InterfaceKind, list[float]]]
     iface_energy: list[dict[InterfaceKind, float]]
@@ -221,9 +218,8 @@ class Simulator:
         self.cs_range2 = cs_range * cs_range
 
         rates = cfg.rates
-        sr_power = cfg.power_profiles[_SR]
-        lr_power = cfg.power_profiles[_LR]
         self.lr_rate = [rates.lr_rate(node.mt_class) for node in scenario.nodes]
+        self.lr_cost = [energy_per_bit(cfg.power_profiles[_LR].tx_w, r) for r in self.lr_rate]
         self.pkt_mb = cfg.packet_size * 8 / 1e6
         self.beacon_mb = cfg.beacon_size * 8 / 1e6
         self.svc_lr = [self.pkt_mb / r for r in self.lr_rate]
@@ -235,22 +231,22 @@ class Simulator:
 
         self.routing: list[NodeRoutingState] | None = None
         if self.coop:
-            sr_cost = energy_per_bit(sr_power.tx_w, rates.sr_rate)
+            sr_cost = energy_per_bit(cfg.power_profiles[_SR].tx_w, rates.sr_rate)
             self.routing = [
-                NodeRoutingState(i, lr_cost=energy_per_bit(lr_power.tx_w, self.lr_rate[i]),
-                                 sr_cost=sr_cost, timeout=cfg.table_timeout)
+                NodeRoutingState(i, lr_cost=self.lr_cost[i], sr_cost=sr_cost,
+                                 timeout=cfg.table_timeout)
                 for i in range(n)
             ]
 
         # shared long-range uplink: FIFO service, per-source admission quota
         # (mirrors per-connection grants; total backlog is still cap * n)
-        self.uplink_wait: deque = deque()
-        self.uplink_busy: tuple[int, Packet] | None = None
+        self.uplink_wait: deque = deque()  # (sender, packet)
+        self.uplink_busy: tuple[int, tuple[int, int]] | None = None
         self.up_cap = cfg.uplink_queue_cap_per_node
         self.up_queued = [0] * n
 
         # short-range medium
-        self.sr_queues: list[deque] = [deque() for _ in range(n)]
+        self.sr_queues: list[deque] = [deque() for _ in range(n)]  # (next hop, payload)
         self.sr_cap = cfg.sr_queue_cap
 
         # stats
@@ -262,7 +258,6 @@ class Simulator:
         self.dropped_link = [0] * n
         self.relayed = [0] * n
         self.hops_sum = [0] * n
-        self.hop_hist: dict[int, int] = {}
 
         # per-run child streams so benchmark/cooperative runs with the same
         # seed see identical phases and trajectories
@@ -398,7 +393,7 @@ class Simulator:
         src = self.sources[node]
         src.next_k = k + 1
         self.generated[node] += 1
-        res = self._dispatch(node, Packet(node))
+        res = self._dispatch(node, (node, 0))
         if res == 0:
             self._schedule_arrival(src)
             return
@@ -412,8 +407,8 @@ class Simulator:
 
     # --- forwarding ---------------------------------------------------------
 
-    def _dispatch(self, node: int, pkt: Packet) -> int:
-        """Route one packet at `node`.
+    def _dispatch(self, node: int, pkt: tuple[int, int]) -> int:
+        """Route one (source, hops) packet at `node`.
 
         0 = accepted; 1 / 2 = dropped, the LR / SR target was full;
         -1 / -2 = accepted, and that left the LR / SR target full.
@@ -422,59 +417,56 @@ class Simulator:
         if self.coop:
             nh = self.routing[node].forward_decision(self.now)
         if self.trace is not None:
-            rs = self.routing[node] if self.coop else None
-            eq1 = rs.best_neighbor(self.now)[1] if rs else math.inf
-            lr = rs.lr_cost if rs else energy_per_bit(
-                self.cfg.power_profiles[_LR].tx_w, self.lr_rate[node]
-            )
+            eq1 = self.routing[node].best_neighbor(self.now)[1] if self.coop else math.inf
             self.trace.append(
                 (self.now, node, "SR" if nh is not None else "LR",
-                 nh if nh is not None else "", eq1, lr)
+                 nh if nh is not None else "", eq1, self.lr_cost[node])
             )
         if nh is None:
             if self.uplink_busy is None:
                 self._start_uplink(node, pkt)
                 return 0
-            if self.up_queued[pkt.source] >= self.up_cap:
+            source = pkt[0]
+            if self.up_queued[source] >= self.up_cap:
                 return 1
-            queued = self.up_queued[pkt.source] + 1
-            self.up_queued[pkt.source] = queued
+            queued = self.up_queued[source] + 1
+            self.up_queued[source] = queued
             self.uplink_wait.append((node, pkt))
             return -1 if queued >= self.up_cap else 0
         q = self.sr_queues[node]
         if len(q) >= self.sr_cap:
             return 2
-        pkt.hops += 1
-        q.append(("D", pkt, nh))
+        q.append((nh, (pkt[0], pkt[1] + 1)))
         self._try_start_sr(node)
         return -2 if len(q) >= self.sr_cap else 0
 
-    def _on_sr_delivery(self, node: int, pkt: Packet) -> None:
-        if pkt.hops >= self.hop_budget:
-            self.dropped_hops[pkt.source] += 1
+    def _on_sr_delivery(self, node: int, pkt: tuple[int, int]) -> None:
+        source, hops = pkt
+        if hops >= self.hop_budget:
+            self.dropped_hops[source] += 1
             return
         self.relayed[node] += 1
         if self._dispatch(node, pkt) > 0:
-            self.dropped_queue[pkt.source] += 1
+            self.dropped_queue[source] += 1
 
     # --- long-range uplink ----------------------------------------------------
 
-    def _start_uplink(self, sender: int, pkt: Packet) -> None:
+    def _start_uplink(self, sender: int, pkt: tuple[int, int]) -> None:
         self.uplink_busy = (sender, pkt)
         self.ledgers[sender].transition_state(_LR, _TX, self.now)
         self._push(self.now + self.svc_lr[sender], _K_LR_TXEND, sender, pkt)
 
-    def _h_lr_txend(self, sender: int, pkt: Packet) -> None:
+    def _h_lr_txend(self, sender: int, pkt: tuple[int, int]) -> None:
         self.ledgers[sender].transition_state(_LR, _IDLE, self.now)
-        self.delivered_pkts[pkt.source] += 1
-        self.delivered_mb[pkt.source] += self.pkt_mb
-        self.hops_sum[pkt.source] += pkt.hops
-        self.hop_hist[pkt.hops] = self.hop_hist.get(pkt.hops, 0) + 1
+        source, hops = pkt
+        self.delivered_pkts[source] += 1
+        self.delivered_mb[source] += self.pkt_mb
+        self.hops_sum[source] += hops
         if self.uplink_wait:
             nxt_sender, nxt_pkt = self.uplink_wait.popleft()
-            self.up_queued[nxt_pkt.source] -= 1
+            self.up_queued[nxt_pkt[0]] -= 1
             # only the dequeued packet's source regained quota
-            src = self.sources[nxt_pkt.source]
+            src = self.sources[nxt_pkt[0]]
             if src is not None and src.blocked == "LR":
                 self._unblock(src, self.now)
             self._start_uplink(nxt_sender, nxt_pkt)
@@ -492,34 +484,33 @@ class Simulator:
 
     def _pop_frame(self, node: int) -> tuple:
         """Pop the head of a node's queue to put it on the air; returns
-        (kind, payload, next hop, charged, airtime)."""
-        kind, payload, nh = self.sr_queues[node].popleft()
+        (next hop, payload, charged, airtime)."""
+        nh, payload = self.sr_queues[node].popleft()
         src = self.sources[node]
         if src is not None and src.blocked == "SR":
             # a queue slot just freed
             self._unblock(src, self.now)
-        if kind == "B":
+        if nh < 0:
             charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
         else:
             charge, dur = True, self.dur_sr_data
         # contention overhead: one slot per node still deferring
-        return kind, payload, nh, charge, dur + self.cfg.contention_slot * len(self.defer_q)
+        return nh, payload, charge, dur + self.cfg.contention_slot * len(self.defer_q)
 
-    def _sr_received(self, sender: int, kind: str, item, nh: int, receivable) -> None:
+    def _sr_received(self, sender: int, nh: int, payload, receivable) -> None:
         """Hand a finished frame to its receivers."""
-        if kind == "B":
+        if nh < 0:
             now = self.now
             for j in receivable:
-                self.routing[j].handle_beacon(item, now)
+                self.routing[j].handle_beacon(sender, payload, now)
                 src = self.sources[j]
                 if src is not None and src.blocked is not None:
                     # the table changed; the batched-drop window ends here
                     self._unblock(src, now)
+        elif self._in_range(sender, nh):
+            self._on_sr_delivery(nh, payload)
         else:
-            if self._in_range(sender, nh):
-                self._on_sr_delivery(nh, item)
-            else:
-                self.dropped_link[item.source] += 1
+            self.dropped_link[payload[0]] += 1
 
     def _close_sr(self) -> list[list[float]]:
         """Clip the frames still on the air at the end of the run and return
@@ -556,11 +547,11 @@ class Simulator:
         if waited is not None:
             self.waiting[node] = None
             self.defer_q.remove((waited, node))
-        kind, payload, nh, charge, dur = self._pop_frame(node)
+        nh, payload, charge, dur = self._pop_frame(node)
         now = self.now
         busy_count = self.busy_count
         receivable = None
-        if kind == "B":  # delivered where a decode-range view is clear
+        if nh < 0:  # a beacon is delivered where a decode-range view is clear
             receivable = [j for j in self.nbrs[node] if not self.sr_tx[j] and busy_count[j] == 0]
         # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
         # and never mutates old ones, so this reference is a snapshot
@@ -578,11 +569,10 @@ class Simulator:
                 rx_count[j] = c
                 if c == 1 and tx_start[j] is None:
                     rx_since[j] = now
-        self._push(now + dur, _K_SR_TXEND, node,
-                   (kind, payload, nh, covered_cs, receivable, charge))
+        self._push(now + dur, _K_SR_TXEND, node, (nh, payload, covered_cs, receivable, charge))
 
-    def _h_sr_txend_per_node(self, sender: int, payload) -> None:
-        kind, item, nh, covered_cs, receivable, charge = payload
+    def _h_sr_txend_per_node(self, sender: int, frame) -> None:
+        nh, payload, covered_cs, receivable, charge = frame
         self.sr_tx[sender] = False
         now = self.now
         busy_count = self.busy_count
@@ -610,7 +600,7 @@ class Simulator:
             if busy_count[n2] == 0:
                 self._try_start_sr(n2)
         self._try_start_sr(sender)
-        self._sr_received(sender, kind, item, nh, receivable)
+        self._sr_received(sender, nh, payload, receivable)
 
     # --- short-range medium: complete-medium path -------------------------------
 
@@ -624,14 +614,14 @@ class Simulator:
             if air[0] != node:
                 self._defer(node)
             return
-        kind, payload, nh, charge, dur = self._pop_frame(node)
+        nh, payload, charge, dur = self._pop_frame(node)
         self.air = (node, self.now, charge)
         # no other radio is busy, so every decode-range neighbour receives;
         # _rebuild_neighbors never mutates a list it has assigned
-        self._push(self.now + dur, _K_SR_TXEND, node, (kind, payload, nh, self.nbrs[node]))
+        self._push(self.now + dur, _K_SR_TXEND, node, (nh, payload, self.nbrs[node]))
 
-    def _h_sr_txend_complete(self, sender: int, payload) -> None:
-        kind, item, nh, receivable = payload
+    def _h_sr_txend_complete(self, sender: int, frame) -> None:
+        nh, payload, receivable = frame
         _, start, charged = self.air
         self.air = None
         if charged:
@@ -645,13 +635,12 @@ class Simulator:
             self.waiting[head] = None
             self._try_start_sr_complete(head)
         self._try_start_sr_complete(sender)
-        self._sr_received(sender, kind, item, nh, receivable)
+        self._sr_received(sender, nh, payload, receivable)
 
     # --- periodic events --------------------------------------------------------
 
     def _h_beacon_due(self, node: int) -> None:
-        beacon = self.routing[node].make_beacon(self.now)
-        self.sr_queues[node].append(("B", beacon, -1))
+        self.sr_queues[node].append((-1, self.routing[node].make_beacon(self.now)))
         self._try_start_sr(node)
         self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
 
@@ -733,18 +722,18 @@ class Simulator:
     def _collect(self, sr_seconds: list[list[float]]) -> RunStats:
         in_flight = [0] * self.n
         if self.uplink_busy is not None:
-            in_flight[self.uplink_busy[1].source] += 1
+            in_flight[self.uplink_busy[1][0]] += 1
         for _, pkt in self.uplink_wait:
-            in_flight[pkt.source] += 1
+            in_flight[pkt[0]] += 1
         for q in self.sr_queues:
-            for kind, item, _ in q:
-                if kind == "D":
-                    in_flight[item.source] += 1
+            for nh, payload in q:
+                if nh >= 0:
+                    in_flight[payload[0]] += 1
         # data packets on the air at the end: every end-of-transmission event
         # still queued belongs to a transmission that started and never ended
-        for _, kind, _, _, payload in self.heap:
-            if kind == _K_SR_TXEND and payload[0] == "D":
-                in_flight[payload[1].source] += 1
+        for _, kind, _, _, frame in self.heap:
+            if kind == _K_SR_TXEND and frame[0] >= 0:
+                in_flight[frame[1][0]] += 1
         profiles = self.cfg.power_profiles
         iface_seconds = [
             {_SR: sr, _LR: ledger.seconds[_LR]} if self.coop else {_LR: ledger.seconds[_LR]}
@@ -769,7 +758,6 @@ class Simulator:
             relayed=self.relayed,
             hops_sum=self.hops_sum,
             in_flight=in_flight,
-            hop_hist=self.hop_hist,
             iface_seconds=iface_seconds,
             iface_energy=iface_energy,
         )

@@ -77,7 +77,7 @@ def test_criterion_1_chain_golden():
         beacons = [n.make_beacon(now) for n in nodes]
         for i, js in nbrs.items():
             for j in js:
-                nodes[i].handle_beacon(beacons[j], now)
+                nodes[i].handle_beacon(j, beacons[j], now)
 
     beacon_round(0.0)
     c_cost = nodes[2].best_neighbor(0.0)[1]
@@ -135,11 +135,11 @@ def test_criterion_2_oracle_equivalence():
             beacons = [node.make_beacon(now) for node in nodes]
             for i in range(n):
                 for j in adj[i]:
-                    nodes[i].handle_beacon(beacons[j], now)
+                    nodes[i].handle_beacon(j, beacons[j], now)
         now = float(n)
         oracle = _oracle_costs(adj, lr_costs, sr_cost)
         for i in range(n):
-            worst = max(worst, abs(nodes[i].advertised_cost(now) - oracle[i]))
+            worst = max(worst, abs(nodes[i].make_beacon(now) - oracle[i]))
         # converged next-hop chains terminate without revisiting a node
         for i in range(n):
             seen = set()

@@ -214,6 +214,7 @@ _INF = float("inf")
     ("sweep", {"name": "a\0b"}),
     ("report", {"plan": "a/b"}),
     ("report", {"plan": "a\0b"}),
+    ("report", {"plan": "x" * 200_000}),  # over the csv module's field limit
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
