@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, Mode, load_config
+from .config import ConfigError, Mode, SimConfig, load_config
 from .metrics import ZeroDeliveryError, energy_efficiency, gain
 from .output import (
     ensure_dir,
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", nargs=2, type=float, required=True, metavar=("W", "H"))
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--class-a", type=int, required=True)
-    p.add_argument("--tx-range", type=float, default=20.0)
+    p.add_argument("--tx-range", type=float, default=SimConfig.tx_range)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-attempts", type=int, default=10_000)
     p.add_argument("--out", required=True, help="scenario file to write")
@@ -131,8 +131,8 @@ def cmd_run(args) -> int:
             if mtrace is not None:
                 write_mobility_trace_csv(mtrace, mode_dir / f"mobility_run{run_index}.csv")
         write_node_csv(stats, mode_dir / "nodes.csv")
-        write_aggregate_csv(stats, mode_dir / "aggregate.csv")
         reports.append(energy_efficiency(stats))
+        write_aggregate_csv(reports[-1], mode_dir / "aggregate.csv")
 
     g = gain(reports[0], reports[1]) if both else None
     write_report_csv(out / "report.csv", label, reports, g)

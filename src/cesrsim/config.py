@@ -53,7 +53,7 @@ class SimConfig:
     cbr_rate: float = 3000.0           # packets/s per source
     packet_size: int = 1024            # bytes
     beacon_size: int = 64              # bytes
-    tx_range: float = 20.0             # meters
+    tx_range: float = 20.0             # meters; sweep generates with it, run reads the scenario's
     # carrier-sense range as a multiple of tx_range; transmissions block the
     # medium (and hold sensing radios in RX) out to this range but are only
     # decodable within tx_range
@@ -160,11 +160,27 @@ def parse_config(data: dict) -> tuple[SimConfig, bool]:
     return SimConfig(mode=mode, **data), both
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated within one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # "<<" merges may be overridden; the base class rejects unhashable keys
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ConfigError(f"{mark.name}: duplicate key {key!r} on line {mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_yaml(path):
-    """The parsed contents of a YAML file; a syntax error is a ConfigError."""
+    """The parsed contents of a YAML file; bad syntax or a repeated key is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_StrictLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

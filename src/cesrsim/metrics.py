@@ -30,7 +30,6 @@ class RunDetail:
     run_index: int
     scenario_seed: int
     energy_j: float
-    delivered_mbits: float
     eb_per_mb: float
     goodput_mbps: float
 
@@ -60,7 +59,6 @@ def energy_efficiency(run_stats: list[RunStats]) -> EfficiencyReport:
                 run_index=rs.run_index,
                 scenario_seed=rs.scenario_seed,
                 energy_j=energy,
-                delivered_mbits=delivered,
                 eb_per_mb=energy / delivered,
                 goodput_mbps=rs.goodput_mbps,
             )

@@ -48,13 +48,8 @@ def write_node_csv(stats_list: list[RunStats], path) -> None:
     write_rows(path, NODE_COLUMNS, rows)
 
 
-def write_aggregate_csv(stats_list: list[RunStats], path) -> None:
-    rows = []
-    for rs in stats_list:
-        delivered = rs.total_delivered_mbits
-        energy = rs.total_energy_j
-        eb = energy / delivered if delivered > 0 else float("inf")
-        rows.append([rs.run_index, rs.goodput_mbps, energy, eb])
+def write_aggregate_csv(report: EfficiencyReport, path) -> None:
+    rows = [[d.run_index, d.goodput_mbps, d.energy_j, d.eb_per_mb] for d in report.per_run]
     write_rows(path, AGGREGATE_COLUMNS, rows)
 
 

@@ -24,19 +24,20 @@ class NodeRoutingState:
     """Routing state of one node: its own link costs plus the neighbor table.
 
     The table maps neighbor id -> (advertised cost, last heard).  An entry
-    older than the timeout is stale: every lookup skips it, and a fresh
-    beacon from that neighbor overwrites it.  Advertised costs are positive,
-    since both link costs are, and a node's neighbours never include itself,
-    so the table holds no entry for the node's own id.
+    is stale after its expiry, last heard + timeout: every lookup skips it,
+    and a fresh beacon from that neighbor overwrites it.  Advertised costs
+    are positive, since both link costs are, and a node's neighbours never
+    include itself, so the table holds no entry for the node's own id.
 
-    best_neighbor/make_beacon/forward_decision are memoized between
-    table changes; the cache stays valid while time advances without any
-    entry expiring, which keeps per-packet decisions O(1) in steady state.
+    best_neighbor/make_beacon/forward_decision/earliest_expiry share one
+    memo: the best entry and the earliest live expiry at one time.  The live
+    set holds from then to that expiry, which keeps per-packet decisions
+    O(1) in steady state.  A beacon invalidates the memo.
     """
 
     __slots__ = (
         "node_id", "lr_cost", "sr_cost", "entries", "timeout",
-        "_cache_time", "_cache_expiry", "_cache_best", "_epoch", "_cache_epoch",
+        "_cache_time", "_cache_expiry", "_cache_best",
     )
 
     def __init__(self, node_id: int, lr_cost: float, sr_cost: float, timeout: float = 15.0):
@@ -49,8 +50,6 @@ class NodeRoutingState:
         self.sr_cost = sr_cost
         self.entries: dict[int, tuple[float, float]] = {}
         self.timeout = timeout
-        self._epoch = 0
-        self._cache_epoch = -1
         self._cache_time = -math.inf
         self._cache_expiry = -math.inf
         self._cache_best: tuple[int | None, float] = (None, math.inf)
@@ -58,14 +57,12 @@ class NodeRoutingState:
     def handle_beacon(self, sender: int, cost: float, now: float) -> None:
         """Upsert the sender's entry with its advertised cost and timestamp."""
         self.entries[sender] = (cost, now)
-        self._epoch += 1
+        self._cache_expiry = -math.inf
 
     def earliest_expiry(self, now: float) -> float:
         """Time at which the oldest live entry would expire; +inf if empty."""
-        timeout = self.timeout
-        times = [heard + timeout for _, heard in self.entries.values()
-                 if now - heard <= timeout]
-        return min(times) if times else math.inf
+        self.best_neighbor(now)
+        return self._cache_expiry
 
     def best_neighbor(self, now: float) -> tuple[int | None, float]:
         """Minimum of sr_cost + advertised cost over live entries.
@@ -73,26 +70,22 @@ class NodeRoutingState:
         Returns (None, +inf) when no live neighbor exists.  Equal costs go
         to the lowest neighbor id.
         """
-        if (
-            self._cache_epoch == self._epoch
-            and self._cache_time <= now <= self._cache_expiry
-        ):
+        if self._cache_time <= now <= self._cache_expiry:
             return self._cache_best
         timeout = self.timeout
         best_id: int | None = None
         best_cost = math.inf
         expiry = math.inf
         for nid, (adv, heard) in self.entries.items():
-            if now - heard > timeout:
-                continue
             exp = heard + timeout
+            if exp < now:
+                continue
             if exp < expiry:
                 expiry = exp
             cost = self.sr_cost + adv
             if cost < best_cost or (cost == best_cost and (best_id is None or nid < best_id)):
                 best_cost = cost
                 best_id = nid
-        self._cache_epoch = self._epoch
         self._cache_time = now
         self._cache_expiry = expiry
         self._cache_best = (best_id, best_cost)

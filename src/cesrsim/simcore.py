@@ -20,9 +20,11 @@ a shared long-range uplink over [0, duration) seconds:
   A node with queued traffic defers while its local medium view is busy.
   Deferred nodes wait in one queue ordered by (first wait time, node id);
   a frame end retries, in that order, each one whose view is now clear.
-  Unicast data delivery fails silently if the target is out of range at
-  completion; beacons are lost at nodes whose medium view was busy (or that
-  were themselves transmitting) when the beacon started.
+  Both neighbour lists are ``connectivity_graph`` over the one position
+  list, rebuilt at each mobility step.  Unicast data delivery fails silently
+  if the target is out of range at completion; beacons are lost at nodes
+  whose medium view was busy (or that were themselves transmitting) when the
+  beacon started.
 
 * Everything queued, on the air or delivered is a plain value.  A packet is
   (source, hops); enqueueing it for a short-range hop queues a copy with
@@ -90,7 +92,7 @@ from . import mobility as mob
 from .config import Mode, SimConfig
 from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit, interface_energy
 from .routing import NodeRoutingState
-from .scenario import MtClass, Scenario
+from .scenario import MtClass, Scenario, connectivity_graph
 
 # Event kinds; the kind value doubles as the tie-break priority class.
 _K_MOBILITY = 0
@@ -211,11 +213,8 @@ class Simulator:
         self.heap: list = []
         self._seq = 0
 
-        self.px = [node.position.x for node in scenario.nodes]
-        self.py = [node.position.y for node in scenario.nodes]
-        self.range2 = scenario.tx_range * scenario.tx_range
-        cs_range = cfg.cs_range_factor * scenario.tx_range
-        self.cs_range2 = cs_range * cs_range
+        self.pos = scenario.positions()  # replaced after each mobility step
+        self.cs_range = cfg.cs_range_factor * scenario.tx_range
 
         rates = cfg.rates
         self.lr_rate = [rates.lr_rate(node.mt_class) for node in scenario.nodes]
@@ -280,14 +279,14 @@ class Simulator:
 
         self.mob_states: list[mob.MobilityState] | None = None
         if cfg.mobility is not None:
-            self.mob_states = mob.init_states(scenario.positions(), cfg.mobility, self.rng_mob)
+            self.mob_states = mob.init_states(self.pos, cfg.mobility, self.rng_mob)
 
         # Two nodes inside the area are at most its diagonal apart and nodes
         # never leave it, so then every node senses every other for the whole
         # run.  A scenario file may place nodes outside its area.
         w, h = scenario.area.width, scenario.area.height
-        inside = all(0.0 <= x <= w and 0.0 <= y <= h for x, y in zip(self.px, self.py))
-        self._use_sr_path(inside and w * w + h * h <= self.cs_range2)
+        inside = all(0.0 <= p.x <= w and 0.0 <= p.y <= h for p in self.pos)
+        self._use_sr_path(inside and w * w + h * h <= self.cs_range * self.cs_range)
 
     def _use_sr_path(self, complete: bool) -> None:
         """Bind the short-range MAC handlers of one path and set up its state."""
@@ -321,30 +320,10 @@ class Simulator:
         heappush(self.heap, (time, kind, node, self._seq, payload))
 
     def _rebuild_neighbors(self) -> None:
-        px, py, r2, n = self.px, self.py, self.range2, self.n
+        self.nbrs = connectivity_graph(self.pos, self.scenario.tx_range)
         # the complete-medium path reads no sensing-range lists
-        cs2 = -1.0 if self.complete_medium else self.cs_range2
-        nbrs: list[list[int]] = [[] for _ in range(n)]       # decode range
-        nbrs_cs: list[list[int]] = [[] for _ in range(n)]    # sensing range
-        for i in range(n):
-            xi, yi = px[i], py[i]
-            for j in range(i + 1, n):
-                dx = px[j] - xi
-                dy = py[j] - yi
-                d2 = dx * dx + dy * dy
-                if d2 <= r2:
-                    nbrs[i].append(j)
-                    nbrs[j].append(i)
-                if d2 <= cs2:
-                    nbrs_cs[i].append(j)
-                    nbrs_cs[j].append(i)
-        self.nbrs = nbrs
-        self.nbrs_cs = nbrs_cs
-
-    def _in_range(self, i: int, j: int) -> bool:
-        dx = self.px[i] - self.px[j]
-        dy = self.py[i] - self.py[j]
-        return dx * dx + dy * dy <= self.range2
+        self.nbrs_cs = ([[] for _ in range(self.n)] if self.complete_medium
+                        else connectivity_graph(self.pos, self.cs_range))
 
     # --- CBR sources --------------------------------------------------------
 
@@ -507,7 +486,7 @@ class Simulator:
                 if src is not None and src.blocked is not None:
                     # the table changed; the batched-drop window ends here
                     self._unblock(src, now)
-        elif self._in_range(sender, nh):
+        elif nh in self.nbrs[sender]:
             self._on_sr_delivery(nh, payload)
         else:
             self.dropped_link[payload[0]] += 1
@@ -657,13 +636,11 @@ class Simulator:
         self.mob_states = mob.advance_all(
             self.mob_states, params, self.scenario.area, self.rng_mob
         )
-        for i, st in enumerate(self.mob_states):
-            self.px[i] = st.position.x
-            self.py[i] = st.position.y
+        self.pos = [st.position for st in self.mob_states]
         self._rebuild_neighbors()
         if self.mobility_trace is not None:
-            for i in range(self.n):
-                self.mobility_trace.append((self.now, i, self.px[i], self.py[i]))
+            for i, p in enumerate(self.pos):
+                self.mobility_trace.append((self.now, i, p.x, p.y))
         self._push(self.now + params.update_interval, _K_MOBILITY, 0, None)
 
     # --- run ----------------------------------------------------------------
@@ -672,8 +649,8 @@ class Simulator:
         cfg = self.cfg
         if self.mob_states is not None:
             if self.mobility_trace is not None:
-                for i in range(self.n):
-                    self.mobility_trace.append((0.0, i, self.px[i], self.py[i]))
+                for i, p in enumerate(self.pos):
+                    self.mobility_trace.append((0.0, i, p.x, p.y))
             self._push(cfg.mobility.update_interval, _K_MOBILITY, 0, None)
         if self.coop:
             for i in range(self.n):
@@ -708,15 +685,11 @@ class Simulator:
         # the bound MAC handlers refer back to this simulator; dropping them
         # lets reference counting free it once the caller lets go
         del self._try_start_sr, self._h_sr_txend
-        # arrivals due before the end that a blocked source never emitted
+        # arrivals due before the end that a blocked source never emitted;
+        # an unblocked source emitted all of them
         for src in self.sources:
-            if src is None:
-                continue
-            pending = src.total_k - src.next_k
-            if pending > 0:
-                self.generated[src.node] += pending
-                self.dropped_queue[src.node] += pending
-                src.next_k = src.total_k
+            if src is not None and src.blocked is not None:
+                self._unblock(src, duration)
         return self._collect(sr_seconds)
 
     def _collect(self, sr_seconds: list[list[float]]) -> RunStats:

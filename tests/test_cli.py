@@ -172,6 +172,14 @@ _NAN = float("nan")
 _INF = float("inf")
 
 
+def _dump(base, overrides):
+    # a str override is YAML text appended to the dumped base, so it can
+    # repeat a key
+    if isinstance(overrides, str):
+        return yaml.safe_dump(base) + overrides
+    return yaml.safe_dump({**base, **overrides})
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("run", {"runs": 2.5}),
     ("run", {"cbr_rate": _INF}),
@@ -215,11 +223,14 @@ _INF = float("inf")
     ("report", {"plan": "a/b"}),
     ("report", {"plan": "a\0b"}),
     ("report", {"plan": "x" * 200_000}),  # over the csv module's field limit
+    ("run", "duration: 2\n"),
+    ("run", "mobility:\n  alpha: 0.5\n  alpha: 0.6\n"),
+    ("sweep", "name: q\n"),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
     if command == "run":
-        path = _write_config(tmp_path, yaml.safe_dump({**_CONFIG, **overrides}))
+        path = _write_config(tmp_path, _dump(_CONFIG, overrides))
         argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
     elif command == "config-file":
         path = _write_config(tmp_path, yaml.safe_dump(_CONFIG), overrides["name"])
@@ -246,7 +257,7 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
         args = {**_GENERATE, **overrides}
         argv = ["generate", *(a for flag, values in args.items() for a in (flag, *values))]
     else:
-        path = _write_config(tmp_path, yaml.safe_dump({**_PLAN, **overrides}), "plan.yaml")
+        path = _write_config(tmp_path, _dump(_PLAN, overrides), "plan.yaml")
         argv = ["sweep", "--plan", str(path)]
     capsys.readouterr()
     rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -254,6 +265,18 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
     assert rc == EXIT_INVALID
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_run_without_traffic_fails_before_aggregate_csv(tmp_path, scenario_file, capsys):
+    cfg = _write_config(tmp_path, "duration: 1\nruns: 1\ncbr_rate: 0\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg), "--scenario", str(scenario_file),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RUNTIME
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "delivered no traffic" in err
+    assert not (out / "cooperative" / "aggregate.csv").exists()
 
 
 def test_seed_override_must_be_non_negative(tmp_path, scenario_file, capsys):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from cesrsim.config import ConfigError, Mode, SimConfig, load_config, parse_config
+from cesrsim.config import ConfigError, Mode, SimConfig, load_config, load_yaml, parse_config
 from cesrsim.mobility import MobilityParams
 
 
@@ -111,3 +111,13 @@ def test_load_config_bad_yaml(tmp_path):
     p.write_text("mode: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+def test_load_yaml_rejects_repeated_keys_but_keeps_merges(tmp_path):
+    p = tmp_path / "dup.yaml"
+    p.write_text("duration: 1\nmobility:\n  alpha: 0.5\n  alpha: 0.6\n")
+    with pytest.raises(ConfigError, match=r"duplicate key 'alpha' on line 4"):
+        load_config(p)
+    # a "<<" merge may override what it merges
+    p.write_text("a: &x {b: 1}\nc: {<<: *x, b: 2}\n")
+    assert load_yaml(p) == {"a": {"b": 1}, "c": {"b": 2}}

@@ -146,3 +146,46 @@ def test_advertised_never_exceeds_own_lr_cost(lr, sr, adv):
     for i, c in enumerate(adv):
         node.handle_beacon(i + 1, c, 0.0)
     assert 0 < node.make_beacon(0.0) <= lr
+
+
+def _scan(node, now):
+    """(best id, via cost, earliest expiry) by a plain pass over the table."""
+    live = [(node.sr_cost + adv, nid, heard + node.timeout)
+            for nid, (adv, heard) in node.entries.items() if now <= heard + node.timeout]
+    via, best_id, _ = min(live, default=(math.inf, None, None))
+    return best_id, via, min((exp for _, _, exp in live), default=math.inf)
+
+
+_TIMES = st.floats(min_value=0.0, max_value=60.0)
+_METHODS = ("best_neighbor", "forward_decision", "make_beacon", "earliest_expiry")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lr=st.floats(min_value=0.1, max_value=4.0),
+    timeout=st.floats(min_value=0.1, max_value=20.0),
+    data=st.data(),
+)
+def test_memo_equals_scan_of_entries(lr, timeout, data):
+    # beacons and queries interleave in any order, and query times may go
+    # backwards or land on, just before or just after an entry's expiry
+    node = NodeRoutingState(0, lr_cost=lr, sr_cost=0.25, timeout=timeout)
+    costs = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(min_value=0.01, max_value=4.0))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        if data.draw(st.booleans()):
+            node.handle_beacon(data.draw(st.integers(min_value=1, max_value=4)),
+                               data.draw(costs), data.draw(_TIMES))
+            continue
+        expiries = [heard + timeout for _, heard in node.entries.values()]
+        edges = [t for e in expiries
+                 for t in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+        now = data.draw(st.one_of(_TIMES, st.sampled_from(edges)) if edges else _TIMES)
+        best_id, via, expiry = _scan(node, now)
+        want = {
+            "best_neighbor": (best_id, via),
+            "forward_decision": best_id if via < lr else None,
+            "make_beacon": via if via < lr else lr,
+            "earliest_expiry": expiry,
+        }
+        for name in data.draw(st.permutations(_METHODS)):
+            assert getattr(node, name)(now) == want[name], name
