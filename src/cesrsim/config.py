@@ -177,12 +177,24 @@ class _StrictLoader(yaml.SafeLoader):
 
 
 def load_yaml(path):
-    """The parsed contents of a YAML file; bad syntax or a repeated key is a ConfigError."""
+    """The parsed contents of a YAML file.
+
+    Text that is not UTF-8, bad syntax or a repeated key is a one-line
+    ConfigError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=_StrictLoader)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot parse {path}: not UTF-8 text ({exc.reason})") from exc
         except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+            # PyYAML's own text spans several lines of context and marks
+            problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+            if problem and mark:
+                detail = f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
+            else:
+                detail = str(exc).split("\n", 1)[0]
+            raise ConfigError(f"cannot parse {path}: {detail}") from exc
 
 
 def load_config(path) -> tuple[SimConfig, bool]:

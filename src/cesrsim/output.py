@@ -1,7 +1,11 @@
 """CSV emission for runs, ledgers, traces and sweeps.
 
 Floats are written with repr (shortest round-trip form) so identical inputs
-produce byte-identical files.
+produce byte-identical files.  Every file goes through csv.writer except the
+per-packet trace, the one large file, whose lines are formatted directly.
+Those are the lines csv would write: no trace field (an int, "SR"/"LR", ""
+or a float) holds a comma, quote or line break, so csv quotes none, and csv
+writes a float as str(x), which equals repr(x).
 """
 
 from __future__ import annotations
@@ -67,7 +71,25 @@ def write_ledger_csv(rs: RunStats, profiles, path) -> None:
 
 
 def write_trace_csv(rows, path) -> None:
-    write_rows(path, TRACE_COLUMNS, rows)
+    """Header plus one line per (time, node, decision, next_hop, eq1, lr_cost) row.
+
+    Writes the bytes write_rows would (see the module docstring), streamed
+    a line at a time so no copy of the file is held in memory.  The text
+    after the time is formatted once per distinct row[1:], since lr_cost is
+    fixed per node and eq1 changes only when a beacon arrives.  Rows are
+    tuples.  Tails that compare equal print alike: the only equal floats
+    that print differently are 0.0 and -0.0, and costs are positive.
+    """
+    tails = {}
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        write = fh.write
+        write(",".join(TRACE_COLUMNS) + "\n")
+        for row in rows:
+            tail = tails.get(row[1:])
+            if tail is None:
+                _, node, decision, next_hop, eq1, lr_cost = row
+                tail = tails[row[1:]] = f",{node},{decision},{next_hop},{eq1!r},{lr_cost!r}\n"
+            write(repr(row[0]) + tail)
 
 
 def write_mobility_trace_csv(rows, path) -> None:

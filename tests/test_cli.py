@@ -21,7 +21,10 @@ def scenario_file(tmp_path):
 
 def _write_config(tmp_path, text, name="cfg.yaml"):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return p
 
 
@@ -173,10 +176,12 @@ _INF = float("inf")
 
 
 def _dump(base, overrides):
-    # a str override is YAML text appended to the dumped base, so it can
-    # repeat a key
+    # a str or bytes override is YAML text appended to the dumped base, so
+    # it can repeat a key or break the syntax or the encoding
     if isinstance(overrides, str):
         return yaml.safe_dump(base) + overrides
+    if isinstance(overrides, bytes):
+        return yaml.safe_dump(base).encode() + overrides
     return yaml.safe_dump({**base, **overrides})
 
 
@@ -226,6 +231,13 @@ def _dump(base, overrides):
     ("run", "duration: 2\n"),
     ("run", "mobility:\n  alpha: 0.5\n  alpha: 0.6\n"),
     ("sweep", "name: q\n"),
+    ("run", "hop_budget: [1\n"),
+    ("run", "hop_budget: 2\n  tx_range: 1\n"),
+    ("run", "? [1]\n: 2\n"),
+    ("run", "hop_budget: \x07\n"),
+    ("run", b"hop_budget: \xff\n"),
+    ("sweep", "values: [1\n"),
+    ("sweep", b"name: \xff\n"),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
@@ -265,6 +277,8 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
     assert rc == EXIT_INVALID
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    if isinstance(overrides, (str, bytes)):
+        assert path.name in err
 
 
 def test_run_without_traffic_fails_before_aggregate_csv(tmp_path, scenario_file, capsys):
