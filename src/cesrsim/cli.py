@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ScenarioError, SweepSchemaError, UnicodeDecodeError) as exc:
+    except (ConfigError, ScenarioError, SweepSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (OSError, ZeroDeliveryError, ValueError) as exc:

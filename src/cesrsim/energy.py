@@ -2,10 +2,12 @@
 
 Each interface is in exactly one of TX/RX/IDLE at any time (there is no
 sleep state), and its energy is the sum of state power times state seconds.
-A ledger credits wall-clock time to the state an interface was in since its
-last transition; the simulator keeps one per node for the long-range radio
-only, and short-range seconds in flat accumulators.  Routing costs are the
-TX power divided by the achievable data rate, carried in J/Mb.
+A ledger credits time to the state an interface was in since its last
+transition; the simulator keeps one per node for the long-range radio only,
+and short-range seconds in flat accumulators.  It books each long-range
+packet when the uplink accepts it, so transitions may lie ahead of the
+simulation clock; they only have to come in time order.  Routing costs are
+the TX power divided by the achievable data rate, carried in J/Mb.
 """
 
 from __future__ import annotations

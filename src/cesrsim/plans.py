@@ -10,6 +10,7 @@ per-run seed, so gains always compare like with like.
 from __future__ import annotations
 
 import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields, replace
@@ -22,7 +23,7 @@ import numpy as np
 from .config import ConfigError, Mode, SimConfig, load_yaml, parse_config, _check_keys, _is_int
 from .metrics import energy_efficiency, gain
 from .output import write_rows
-from .scenario import Area, ScenarioError, generate_scenario, is_finite_number
+from .scenario import Area, ScenarioError, generate_scenario, is_finite_number, read_ascii
 from .simcore import run
 
 AXES = ("node_count", "cbr_rate", "mean_speed")
@@ -252,7 +253,7 @@ class SweepSchemaError(ValueError):
 
 
 def load_sweep_csv(path) -> list[SweepRow]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with io.StringIO(read_ascii(path, SweepSchemaError), newline="") as fh:
         reader = csv.reader(fh)
         rows = []
         try:

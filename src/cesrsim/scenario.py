@@ -295,6 +295,18 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write(scenario_to_text(scenario))
 
 
+def read_ascii(path, error: type[Exception]) -> str:
+    """The text of an ASCII file; another byte raises ``error`` naming the
+    file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"cannot parse {path}: not ASCII text "
+                    f"(byte {data[exc.start]:#04x} on line {line})") from None
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="ascii") as fh:
-        return scenario_from_text(fh.read())
+    return scenario_from_text(read_ascii(path, ScenarioError))

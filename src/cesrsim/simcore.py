@@ -8,7 +8,11 @@ a shared long-range uplink over [0, duration) seconds:
   sending node's long-range radio is in TX for the service interval.
   Admission to the waiting queue is a per-source quota (mirroring
   per-connection uplink grants); arrivals beyond a source's quota are
-  dropped and counted against that source.
+  dropped and counted against that source.  The server is FIFO with fixed
+  service times, so a packet is booked in full on acceptance: it starts now
+  or when the last accepted packet ends, its sender's ledger gets TX and
+  IDLE at those future times, and it is delivered if it ends before the run
+  does.  No event marks a completion.
 
 * Short-range MAC abstraction: protocol-model interference with a sensing
   range larger than the delivery range (cs_range_factor * tx_range, like a
@@ -60,11 +64,13 @@ Saturated CBR sources are handled with an exact fast path.  A source blocks
 as soon as one of its own packets finds its target full, or is accepted and
 leaves it full: the uplink busy with the source's whole quota waiting, or the
 node's short-range queue at its cap after the MAC had its chance to start a
-frame.  A blocked source schedules no arrivals.  Only these events can
-change what its next arrival would meet, and each of them unblocks it:
+frame.  A blocked source schedules no arrival but a long-range wake.  Only
+these events can change what its next arrival would meet, and each of them
+unblocks it:
 
-* a slot frees: the uplink dequeues a packet of that source, or the node
-  pops the head of its short-range queue;
+* a slot frees: the source's oldest waiting long-range packet starts (known
+  at the block, which pushes the first arrival from then on as the source's
+  wake), or the node pops the head of its short-range queue;
 * a beacon updates the node's table;
 * the earliest expiry in the node's table, for a short-range block, since
   the decision can then flip to long range (an expiry only removes
@@ -75,7 +81,9 @@ change what its next arrival would meet, and each of them unblocks it:
 Until then every arrival would be dropped identically, so the unblock counts
 those drops arithmetically and resumes per-packet arrivals.  An early or
 spurious unblock only resumes the per-packet loop.  Results are identical to
-the per-packet loop without blocking, which is what --trace uses.
+the per-packet loop without blocking, which is what --trace uses.  A source
+has one live arrival: next_k, its wake, or none while short-range blocked.
+A beacon can unblock a source before its wake fires, so others are stale.
 """
 
 from __future__ import annotations
@@ -96,11 +104,10 @@ from .scenario import MtClass, Scenario, connectivity_graph
 
 # Event kinds; the kind value doubles as the tie-break priority class.
 _K_MOBILITY = 0
-_K_LR_TXEND = 1
-_K_SR_TXEND = 2
-_K_BEACON = 3
-_K_RECHECK = 4
-_K_ARRIVAL = 5
+_K_SR_TXEND = 1
+_K_BEACON = 2
+_K_RECHECK = 3
+_K_ARRIVAL = 4
 
 _SR = InterfaceKind.SHORT_RANGE
 _LR = InterfaceKind.LONG_RANGE
@@ -111,7 +118,7 @@ _IDLE = RadioState.IDLE
 class _Source:
     """State of one CBR stream: arrivals at phase + k/rate for k = 0, 1, ..."""
 
-    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "recheck_at")
+    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "wake", "recheck_at")
 
     def __init__(self, node: int, period: float, phase: float, total_k: int):
         self.node = node
@@ -120,6 +127,7 @@ class _Source:
         self.next_k = 0
         self.total_k = total_k
         self.blocked: str | None = None  # None | "LR" | "SR"
+        self.wake = 0  # k of the one live arrival, -1 if none
         # time of the latest recheck wanted, until its event fires
         self.recheck_at: float | None = None
 
@@ -239,10 +247,10 @@ class Simulator:
 
         # shared long-range uplink: FIFO service, per-source admission quota
         # (mirrors per-connection grants; total backlog is still cap * n)
-        self.uplink_wait: deque = deque()  # (sender, packet)
-        self.uplink_busy: tuple[int, tuple[int, int]] | None = None
+        self.up_end = 0.0  # end of the last accepted packet's service
+        self.up_starts = [deque() for _ in range(n)]  # per source: starts of waiting packets
         self.up_cap = cfg.uplink_queue_cap_per_node
-        self.up_queued = [0] * n
+        self.lr_in_flight = [0] * n
 
         # short-range medium
         self.sr_queues: list[deque] = [deque() for _ in range(n)]  # (next hop, payload)
@@ -327,15 +335,20 @@ class Simulator:
 
     # --- CBR sources --------------------------------------------------------
 
-    def _schedule_arrival(self, src: _Source) -> None:
-        k = src.next_k
-        if k >= src.total_k:
-            return
-        self._push(src.phase + k * src.period, _K_ARRIVAL, src.node, k)
+    def _schedule_arrival(self, src: _Source, k: int) -> None:
+        """Make arrival k the source's live one; push it if due in the run."""
+        src.wake = k
+        if k < src.total_k:
+            self._push(src.phase + k * src.period, _K_ARRIVAL, src.node, k)
 
     def _block(self, src: _Source, target: str) -> None:
         src.blocked = target
-        if target == "SR":
+        if target == "LR":
+            # the quota frees when the oldest waiting packet starts
+            start = self.up_starts[src.node][0]
+            self._schedule_arrival(src, _first_k_at_or_after(src.phase, src.period, start))
+        else:
+            src.wake = -1
             # The decision could flip to long-range once an entry expires.
             # Invariant: every SR-blocked source has a recheck pending at or
             # before its table's earliest expiry.  That expiry never
@@ -364,22 +377,31 @@ class Simulator:
             self.dropped_queue[src.node] += batched
         src.next_k = ks
         src.blocked = None
-        self._schedule_arrival(src)
+        self._schedule_arrival(src, ks)
 
     def _h_arrival(self, node: int, k: int) -> None:
-        # only _h_arrival blocks and only _unblock re-arms, so an unblocked
-        # source has exactly this arrival pending and a blocked one none
         src = self.sources[node]
+        if k != src.wake:
+            # Stale.  Without wake arrivals every popped arrival was live; now
+            # a beacon can lift a long-range block before its wake fires, and
+            # a later block can push the same wake again.
+            return
+        if src.blocked is not None:
+            # the wake arrival: every arrival since the block was dropped
+            batched = k - src.next_k
+            self.generated[node] += batched
+            self.dropped_queue[node] += batched
+            src.blocked = None
         src.next_k = k + 1
         self.generated[node] += 1
         res = self._dispatch(node, (node, 0))
         if res == 0:
-            self._schedule_arrival(src)
+            self._schedule_arrival(src, k + 1)
             return
         if res > 0:
             self.dropped_queue[node] += 1
         if self.trace is not None:
-            self._schedule_arrival(src)
+            self._schedule_arrival(src, k + 1)
         else:
             # the target is full, so the next arrival would be dropped
             self._block(src, "LR" if res in (1, -1) else "SR")
@@ -402,16 +424,7 @@ class Simulator:
                  nh if nh is not None else "", eq1, self.lr_cost[node])
             )
         if nh is None:
-            if self.uplink_busy is None:
-                self._start_uplink(node, pkt)
-                return 0
-            source = pkt[0]
-            if self.up_queued[source] >= self.up_cap:
-                return 1
-            queued = self.up_queued[source] + 1
-            self.up_queued[source] = queued
-            self.uplink_wait.append((node, pkt))
-            return -1 if queued >= self.up_cap else 0
+            return self._uplink(node, pkt)
         q = self.sr_queues[node]
         if len(q) >= self.sr_cap:
             return 2
@@ -430,27 +443,34 @@ class Simulator:
 
     # --- long-range uplink ----------------------------------------------------
 
-    def _start_uplink(self, sender: int, pkt: tuple[int, int]) -> None:
-        self.uplink_busy = (sender, pkt)
-        self.ledgers[sender].transition_state(_LR, _TX, self.now)
-        self._push(self.now + self.svc_lr[sender], _K_LR_TXEND, sender, pkt)
-
-    def _h_lr_txend(self, sender: int, pkt: tuple[int, int]) -> None:
-        self.ledgers[sender].transition_state(_LR, _IDLE, self.now)
+    def _uplink(self, sender: int, pkt: tuple[int, int]) -> int:
+        """Offer a packet to the uplink and book it in full if accepted;
+        returns as _dispatch does."""
         source, hops = pkt
-        self.delivered_pkts[source] += 1
-        self.delivered_mb[source] += self.pkt_mb
-        self.hops_sum[source] += hops
-        if self.uplink_wait:
-            nxt_sender, nxt_pkt = self.uplink_wait.popleft()
-            self.up_queued[nxt_pkt[0]] -= 1
-            # only the dequeued packet's source regained quota
-            src = self.sources[nxt_pkt[0]]
-            if src is not None and src.blocked == "LR":
-                self._unblock(src, self.now)
-            self._start_uplink(nxt_sender, nxt_pkt)
+        start = self.up_end
+        if self.now < start:
+            starts = self.up_starts[source]
+            while starts and starts[0] <= self.now:
+                starts.popleft()  # started by now, so no longer waiting
+            if len(starts) >= self.up_cap:
+                return 1
+            starts.append(start)
+            res = -1 if len(starts) >= self.up_cap else 0
         else:
-            self.uplink_busy = None
+            start, res = self.now, 0
+        # FIFO, so the sender's ledger gets its transitions in time order
+        end = self.up_end = start + self.svc_lr[sender]
+        ledger = self.ledgers[sender]
+        if start < self.duration:
+            ledger.transition_state(_LR, _TX, start)
+        if end < self.duration:
+            ledger.transition_state(_LR, _IDLE, end)
+            self.delivered_pkts[source] += 1
+            self.delivered_mb[source] += self.pkt_mb
+            self.hops_sum[source] += hops
+        else:
+            self.lr_in_flight[source] += 1
+        return res
 
     # --- short-range medium: both paths ---------------------------------------
 
@@ -658,7 +678,7 @@ class Simulator:
                 self._push(offset, _K_BEACON, i, None)
         for src in self.sources:
             if src is not None:
-                self._schedule_arrival(src)
+                self._schedule_arrival(src, 0)
 
         heap = self.heap
         duration = self.duration
@@ -669,8 +689,6 @@ class Simulator:
                 self._h_arrival(node, payload)
             elif kind == _K_SR_TXEND:
                 self._h_sr_txend(node, payload)
-            elif kind == _K_LR_TXEND:
-                self._h_lr_txend(node, payload)
             elif kind == _K_BEACON:
                 self._h_beacon_due(node)
             elif kind == _K_RECHECK:
@@ -693,11 +711,7 @@ class Simulator:
         return self._collect(sr_seconds)
 
     def _collect(self, sr_seconds: list[list[float]]) -> RunStats:
-        in_flight = [0] * self.n
-        if self.uplink_busy is not None:
-            in_flight[self.uplink_busy[1][0]] += 1
-        for _, pkt in self.uplink_wait:
-            in_flight[pkt[0]] += 1
+        in_flight = self.lr_in_flight
         for q in self.sr_queues:
             for nh, payload in q:
                 if nh >= 0:

@@ -238,6 +238,8 @@ def _dump(base, overrides):
     ("run", b"hop_budget: \xff\n"),
     ("sweep", "values: [1\n"),
     ("sweep", b"name: \xff\n"),
+    ("scenario", b"\xff\n"),
+    ("report", b"\xff\n"),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
@@ -248,22 +250,32 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
         path = _write_config(tmp_path, yaml.safe_dump(_CONFIG), overrides["name"])
         argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
     elif command == "scenario":
-        # each override replaces the values of the first record with that key
-        lines = scenario_file.read_text().splitlines()
-        for key, values in overrides.items():
-            i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
-            lines[i] = f"{key} {values}"
-        bad = tmp_path / "bad_scen.txt"
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        path = _write_config(tmp_path, yaml.safe_dump(_CONFIG))
-        argv = ["run", "--config", str(path), "--scenario", str(bad)]
+        path = tmp_path / "bad_scen.txt"
+        if isinstance(overrides, bytes):
+            # bytes go in as the second line
+            head, rest = scenario_file.read_bytes().split(b"\n", 1)
+            path.write_bytes(head + b"\n" + overrides + rest)
+        else:
+            # each override replaces the values of the first record with that key
+            lines = scenario_file.read_text().splitlines()
+            for key, values in overrides.items():
+                i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+                lines[i] = f"{key} {values}"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = _write_config(tmp_path, yaml.safe_dump(_CONFIG))
+        argv = ["run", "--config", str(cfg), "--scenario", str(path)]
     elif command == "parallel":
         path = _write_config(tmp_path, yaml.safe_dump(_PLAN), "plan.yaml")
         argv = ["sweep", "--plan", str(path), "--parallel", *overrides["--parallel"]]
     elif command == "report":
         path = tmp_path / "sweep.csv"
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([SWEEP_COLUMNS, {**_SWEEP_ROW, **overrides}.values()])
+            if isinstance(overrides, bytes):  # bytes go in as the second line
+                csv.writer(fh).writerow(SWEEP_COLUMNS)
+            else:
+                csv.writer(fh).writerows([SWEEP_COLUMNS, {**_SWEEP_ROW, **overrides}.values()])
+        if isinstance(overrides, bytes):
+            path.write_bytes(path.read_bytes() + overrides)
         argv = ["report", "--sweep", str(path)]
     elif command == "generate":
         args = {**_GENERATE, **overrides}
@@ -279,6 +291,8 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
     assert "Traceback" not in err
     if isinstance(overrides, (str, bytes)):
         assert path.name in err
+    if command in ("scenario", "report") and isinstance(overrides, bytes):
+        assert "line 2" in err
 
 
 def test_run_without_traffic_fails_before_aggregate_csv(tmp_path, scenario_file, capsys):

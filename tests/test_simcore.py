@@ -1,4 +1,6 @@
+from collections import deque
 from dataclasses import asdict, replace
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 import pytest
@@ -169,6 +171,12 @@ def _cases(draw):
     60.0, 20.0, 8, 1, 3, mobile=False, mode=Mode.COOPERATIVE, duration=1.0,
     cbr_rate=1000.0, beacon_period=0.2,
 ))
+# one-slot uplink quotas and 0.2 s beacons: a beacon unblocks a source before
+# its wake arrival fires, which then pops as a stale event
+@example(case=_case(
+    60.0, 20.0, 10, 2, 7, mobile=False, mode=Mode.COOPERATIVE, duration=2.0,
+    cbr_rate=3000.0, beacon_period=0.2, uplink_queue_cap_per_node=1,
+))
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
     fast = run(cfg, sc, 0)
@@ -192,6 +200,90 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
         assert total_tx <= cfg.duration * (1 + 1e-9)
         for secs in fast.iface_seconds:
             assert secs[SR][TX] + secs[SR][RX] == pytest.approx(total_tx, rel=1e-9)
+
+
+def _reference_uplink(cfg, sc):
+    """Benchmark mode as a plain event loop: one event per arrival and per
+    completion, one FIFO queue with a per-source quota and no blocking.
+    Returns the packet counts, each node's long-range [TX, RX, IDLE] seconds
+    and the completion times."""
+    sim = Simulator(cfg, sc, 0)
+    n, duration, cap = sim.n, cfg.duration, cfg.uplink_queue_cap_per_node
+    generated, delivered, dropped, waiting, tx = [0] * n, [0] * n, [0] * n, [0] * n, [0.0] * n
+    # (time, 0 = completion | 1 = arrival, node, k): a completion goes first
+    heap = [(s.phase, 1, s.node, 0) for s in sim.sources if s is not None and s.total_k > 0]
+    heapify(heap)
+    queue, serving, ends = deque(), None, []  # serving: (node, start)
+    while heap and heap[0][0] < duration:
+        t, kind, node, k = heappop(heap)
+        if kind == 0:
+            delivered[node] += 1
+            tx[node] += t - serving[1]
+            ends.append(t)
+            serving = None
+            if not queue:
+                continue
+            node = queue.popleft()
+            waiting[node] -= 1
+        else:
+            src = sim.sources[node]
+            generated[node] += 1
+            if k + 1 < src.total_k:
+                heappush(heap, (src.phase + (k + 1) * src.period, 1, node, k + 1))
+            if serving is not None:
+                if waiting[node] < cap:
+                    waiting[node] += 1
+                    queue.append(node)
+                else:
+                    dropped[node] += 1
+                continue
+        serving = (node, t)
+        heappush(heap, (t + sim.svc_lr[node], 0, node, 0))
+    in_flight = waiting[:]
+    if serving is not None:
+        in_flight[serving[0]] += 1
+        tx[serving[0]] += duration - serving[1]
+    seconds = [[x, 0.0, duration - x] for x in tx]
+    return (generated, delivered, dropped, in_flight), seconds, ends
+
+
+def _assert_matches_reference(cfg, sc):
+    counts, seconds, ends = _reference_uplink(cfg, sc)
+    for trace in (None, []):  # batched drops, and the per-packet loop
+        rs = run(cfg, sc, 0, trace=trace)
+        assert (rs.generated, rs.delivered_pkts, rs.dropped_queue, rs.in_flight) == counts
+        for got, want in zip(rs.iface_seconds, seconds):
+            assert got[LR] == pytest.approx(want, rel=1e-12)
+    return ends
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    n_class_a=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    cap=st.integers(1, 50),
+    cbr_rate=st.floats(200.0, 3000.0),
+    duration=st.floats(0.5, 2.0),
+)
+def test_benchmark_uplink_matches_plain_reference(n, n_class_a, seed, cap, cbr_rate, duration):
+    cfg, sc = _case(60.0, 20.0, n, min(n_class_a, n), seed, mobile=False,
+                    mode=Mode.BENCHMARK, duration=duration, cbr_rate=cbr_rate,
+                    uplink_queue_cap_per_node=cap)
+    ends = _assert_matches_reference(cfg, sc)
+    # a run that ends as a packet does leaves that packet in flight
+    if ends:
+        _assert_matches_reference(replace(cfg, duration=ends[len(ends) // 2]), sc)
+
+
+def test_benchmark_pushes_only_arrivals_it_accepts():
+    # no beacons and no mobility: a source blocked on its full quota wakes
+    # at its first arrival after a slot frees, so no pushed event is wasted
+    cfg = SimConfig(duration=2.0, runs=1, cbr_rate=3000.0, mode=Mode.BENCHMARK)
+    sim = Simulator(cfg, _scenario(n=20, ca=2, seed=3), 0)
+    rs = sim.execute()
+    assert sum(rs.dropped_queue) > 0
+    assert sim._seq == sum(rs.delivered_pkts) + sum(rs.in_flight)
 
 
 def test_partial_sensing_short_range_seconds_per_clique():
