@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -9,7 +11,7 @@ import yaml
 
 from .energy import DEFAULT_PROFILES, InterfaceKind, PowerProfile
 from .mobility import MobilityParams
-from .scenario import RateProfile, is_finite_number
+from .scenario import RateProfile, is_finite_number, read_text
 
 
 class ConfigError(ValueError):
@@ -94,6 +96,8 @@ class SimConfig:
             raise ConfigError("beacon_size must be > 0")
         if self.cbr_rate < 0:
             raise ConfigError("cbr_rate must be >= 0")
+        if self.cbr_rate > 0 and math.isinf(1.0 / self.cbr_rate):
+            raise ConfigError(f"cbr_rate {self.cbr_rate!r} is too small: 1/cbr_rate overflows")
         if self.beacon_period <= 0:
             raise ConfigError("beacon_period must be > 0")
         if self.tx_range <= 0:
@@ -182,11 +186,11 @@ def load_yaml(path):
     Text that is not UTF-8, bad syntax or a repeated key is a one-line
     ConfigError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline=None reads line ends as a text-mode file would
+    with io.StringIO(read_text(path, ConfigError, "utf-8"), newline=None) as fh:
+        fh.name = path  # PyYAML's marks, and so the duplicate-key error, name it
         try:
             return yaml.load(fh, Loader=_StrictLoader)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"cannot parse {path}: not UTF-8 text ({exc.reason})") from exc
         except yaml.YAMLError as exc:
             # PyYAML's own text spans several lines of context and marks
             problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)

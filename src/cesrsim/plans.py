@@ -23,7 +23,7 @@ import numpy as np
 from .config import ConfigError, Mode, SimConfig, load_yaml, parse_config, _check_keys, _is_int
 from .metrics import energy_efficiency, gain
 from .output import write_rows
-from .scenario import Area, ScenarioError, generate_scenario, is_finite_number, read_ascii
+from .scenario import Area, ScenarioError, generate_scenario, is_finite_number, read_text
 from .simcore import run
 
 AXES = ("node_count", "cbr_rate", "mean_speed")
@@ -253,7 +253,7 @@ class SweepSchemaError(ValueError):
 
 
 def load_sweep_csv(path) -> list[SweepRow]:
-    with io.StringIO(read_ascii(path, SweepSchemaError), newline="") as fh:
+    with io.StringIO(read_text(path, SweepSchemaError), newline="") as fh:
         reader = csv.reader(fh)
         rows = []
         try:

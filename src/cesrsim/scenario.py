@@ -295,18 +295,18 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write(scenario_to_text(scenario))
 
 
-def read_ascii(path, error: type[Exception]) -> str:
-    """The text of an ASCII file; another byte raises ``error`` naming the
-    file and the line."""
+def read_text(path, error: type[Exception], encoding: str = "ascii") -> str:
+    """The text of a file; a byte that is not in ``encoding`` raises
+    ``error`` naming the file and the line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("ascii")
+        return data.decode(encoding)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"cannot parse {path}: not ASCII text "
+        raise error(f"cannot parse {path}: not {encoding.upper()} text "
                     f"(byte {data[exc.start]:#04x} on line {line})") from None
 
 
 def load_scenario(path) -> Scenario:
-    return scenario_from_text(read_ascii(path, ScenarioError))
+    return scenario_from_text(read_text(path, ScenarioError))

@@ -64,26 +64,24 @@ Saturated CBR sources are handled with an exact fast path.  A source blocks
 as soon as one of its own packets finds its target full, or is accepted and
 leaves it full: the uplink busy with the source's whole quota waiting, or the
 node's short-range queue at its cap after the MAC had its chance to start a
-frame.  A blocked source schedules no arrival but a long-range wake.  Only
-these events can change what its next arrival would meet, and each of them
-unblocks it:
+frame.  Every arrival would then be dropped identically until one of these:
 
-* a slot frees: the source's oldest waiting long-range packet starts (known
-  at the block, which pushes the first arrival from then on as the source's
-  wake), or the node pops the head of its short-range queue;
-* a beacon updates the node's table;
-* the earliest expiry in the node's table, for a short-range block, since
-  the decision can then flip to long range (an expiry only removes
-  neighbours, so it cannot turn a long-range decision into a short-range
-  one).  That expiry never decreases, so a source keeps one recheck event
-  per expiry time rather than one per block.
+* a beacon updates the node's table, or the node pops the head of its
+  short-range queue; either unblocks the source at once;
+* the block could end by itself: for a long-range block when the source's
+  oldest waiting packet starts and its quota frees, for a short-range block
+  at the earliest expiry in the node's table, when the decision can flip to
+  long range (an expiry only removes neighbours, so it cannot turn a
+  long-range decision into a short-range one).  Both times are known at the
+  block, which pushes the source's first arrival from then on as its wake,
+  unless an earlier block already pushed that arrival.
 
-Until then every arrival would be dropped identically, so the unblock counts
-those drops arithmetically and resumes per-packet arrivals.  An early or
-spurious unblock only resumes the per-packet loop.  Results are identical to
+The unblock or the wake arrival counts the drops since the block
+arithmetically and resumes per-packet arrivals.  An early or spurious
+unblock or wake only resumes the per-packet loop.  Results are identical to
 the per-packet loop without blocking, which is what --trace uses.  A source
-has one live arrival: next_k, its wake, or none while short-range blocked.
-A beacon can unblock a source before its wake fires, so others are stale.
+has one live arrival, its wake, which is next_k while unblocked; an unblock
+can come before the wake fires, so others are stale.
 """
 
 from __future__ import annotations
@@ -106,8 +104,7 @@ from .scenario import MtClass, Scenario, connectivity_graph
 _K_MOBILITY = 0
 _K_SR_TXEND = 1
 _K_BEACON = 2
-_K_RECHECK = 3
-_K_ARRIVAL = 4
+_K_ARRIVAL = 3
 
 _SR = InterfaceKind.SHORT_RANGE
 _LR = InterfaceKind.LONG_RANGE
@@ -118,7 +115,7 @@ _IDLE = RadioState.IDLE
 class _Source:
     """State of one CBR stream: arrivals at phase + k/rate for k = 0, 1, ..."""
 
-    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "wake", "recheck_at")
+    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "wake", "pushed_wake")
 
     def __init__(self, node: int, period: float, phase: float, total_k: int):
         self.node = node
@@ -127,19 +124,18 @@ class _Source:
         self.next_k = 0
         self.total_k = total_k
         self.blocked: str | None = None  # None | "LR" | "SR"
-        self.wake = 0  # k of the one live arrival, -1 if none
-        # time of the latest recheck wanted, until its event fires
-        self.recheck_at: float | None = None
+        self.wake = 0  # k of the one live arrival
+        self.pushed_wake = -1  # k of the last wake a block pushed
 
 
-def _first_k_at_or_after(phase: float, period: float, t: float) -> int:
-    """Smallest k >= 0 with phase + k*period >= t, robust to float rounding."""
+def _first_k_at_or_after(phase: float, period: float, t: float, lo: int = 0) -> int:
+    """Smallest k >= lo with phase + k*period >= t, robust to float rounding."""
     k = int(math.ceil((t - phase) / period))
-    if k < 0:
-        k = 0
+    if k < lo:
+        k = lo
     while phase + k * period < t:
         k += 1
-    while k > 0 and phase + (k - 1) * period >= t:
+    while k > lo and phase + (k - 1) * period >= t:
         k -= 1
     return k
 
@@ -342,78 +338,64 @@ class Simulator:
             self._push(src.phase + k * src.period, _K_ARRIVAL, src.node, k)
 
     def _block(self, src: _Source, target: str) -> None:
+        """Block a source on its full target until its first arrival at or
+        after the time the block could end by itself."""
         src.blocked = target
         if target == "LR":
-            # the quota frees when the oldest waiting packet starts
-            start = self.up_starts[src.node][0]
-            self._schedule_arrival(src, _first_k_at_or_after(src.phase, src.period, start))
+            t = self.up_starts[src.node][0]  # the quota frees as this packet starts
         else:
-            src.wake = -1
-            # The decision could flip to long-range once an entry expires.
-            # Invariant: every SR-blocked source has a recheck pending at or
-            # before its table's earliest expiry.  That expiry never
-            # decreases while the table has a live entry, so a recheck
-            # already pending at te serves this block too.
-            te = self.routing[src.node].earliest_expiry(self.now)
-            if te != src.recheck_at:
-                src.recheck_at = te
-                if te < self.duration:
-                    self._push(te, _K_RECHECK, src.node, None)
+            # finite: a short-range decision needs a live entry
+            t = self.routing[src.node].earliest_expiry(self.now)
+        k = _first_k_at_or_after(src.phase, src.period, t, src.next_k)
+        if k == src.pushed_wake:
+            # pushed by an earlier block and still pending: this block is at
+            # arrival next_k - 1, so arrival k >= next_k is after now
+            src.wake = k
+        else:
+            src.pushed_wake = k
+            self._schedule_arrival(src, k)
+
+    def _resume(self, src: _Source, k: int) -> None:
+        """End a block at arrival k: every arrival before it was dropped."""
+        batched = k - src.next_k
+        self.generated[src.node] += batched
+        self.dropped_queue[src.node] += batched
+        src.next_k = k
+        src.blocked = None
 
     def _unblock(self, src: _Source, tmin: float) -> None:
-        """Account all batched drops strictly before tmin, then resume.
+        """Resume at the first arrival at or after tmin.
 
         Valid because between blocking and tmin neither the target queue
         gained space nor the node's routing decision changed.
         """
-        ks = _first_k_at_or_after(src.phase, src.period, tmin)
-        if ks < src.next_k:
-            ks = src.next_k
+        ks = _first_k_at_or_after(src.phase, src.period, tmin, src.next_k)
         if ks > src.total_k:
             ks = src.total_k
-        batched = ks - src.next_k
-        if batched:
-            self.generated[src.node] += batched
-            self.dropped_queue[src.node] += batched
-        src.next_k = ks
-        src.blocked = None
+        self._resume(src, ks)
         self._schedule_arrival(src, ks)
 
     def _h_arrival(self, node: int, k: int) -> None:
         src = self.sources[node]
         if k != src.wake:
-            # Stale.  Without wake arrivals every popped arrival was live; now
-            # a beacon can lift a long-range block before its wake fires, and
-            # a later block can push the same wake again.
-            return
+            return  # stale: an unblock superseded it
         if src.blocked is not None:
-            # the wake arrival: every arrival since the block was dropped
-            batched = k - src.next_k
-            self.generated[node] += batched
-            self.dropped_queue[node] += batched
-            src.blocked = None
+            self._resume(src, k)
         src.next_k = k + 1
         self.generated[node] += 1
-        res = self._dispatch(node, (node, 0))
-        if res == 0:
-            self._schedule_arrival(src, k + 1)
-            return
-        if res > 0:
-            self.dropped_queue[node] += 1
-        if self.trace is not None:
+        full = self._dispatch(node, (node, 0))
+        if full is None or self.trace is not None:
             self._schedule_arrival(src, k + 1)
         else:
             # the target is full, so the next arrival would be dropped
-            self._block(src, "LR" if res in (1, -1) else "SR")
+            self._block(src, full)
 
     # --- forwarding ---------------------------------------------------------
 
-    def _dispatch(self, node: int, pkt: tuple[int, int]) -> int:
-        """Route one (source, hops) packet at `node`.
-
-        0 = accepted; 1 / 2 = dropped, the LR / SR target was full;
-        -1 / -2 = accepted, and that left the LR / SR target full.
-        """
+    def _dispatch(self, node: int, pkt: tuple[int, int]) -> str | None:
+        """Route one (source, hops) packet at `node`; a packet its target has
+        no room for is dropped and counted against its source.  Returns the
+        target, "LR" or "SR", if it is full now, else None."""
         nh = None
         if self.coop:
             nh = self.routing[node].forward_decision(self.now)
@@ -427,10 +409,11 @@ class Simulator:
             return self._uplink(node, pkt)
         q = self.sr_queues[node]
         if len(q) >= self.sr_cap:
-            return 2
+            self.dropped_queue[pkt[0]] += 1
+            return "SR"
         q.append((nh, (pkt[0], pkt[1] + 1)))
         self._try_start_sr(node)
-        return -2 if len(q) >= self.sr_cap else 0
+        return "SR" if len(q) >= self.sr_cap else None
 
     def _on_sr_delivery(self, node: int, pkt: tuple[int, int]) -> None:
         source, hops = pkt
@@ -438,12 +421,11 @@ class Simulator:
             self.dropped_hops[source] += 1
             return
         self.relayed[node] += 1
-        if self._dispatch(node, pkt) > 0:
-            self.dropped_queue[source] += 1
+        self._dispatch(node, pkt)
 
     # --- long-range uplink ----------------------------------------------------
 
-    def _uplink(self, sender: int, pkt: tuple[int, int]) -> int:
+    def _uplink(self, sender: int, pkt: tuple[int, int]) -> str | None:
         """Offer a packet to the uplink and book it in full if accepted;
         returns as _dispatch does."""
         source, hops = pkt
@@ -453,11 +435,12 @@ class Simulator:
             while starts and starts[0] <= self.now:
                 starts.popleft()  # started by now, so no longer waiting
             if len(starts) >= self.up_cap:
-                return 1
+                self.dropped_queue[source] += 1
+                return "LR"
             starts.append(start)
-            res = -1 if len(starts) >= self.up_cap else 0
+            full = "LR" if len(starts) >= self.up_cap else None
         else:
-            start, res = self.now, 0
+            start, full = self.now, None
         # FIFO, so the sender's ledger gets its transitions in time order
         end = self.up_end = start + self.svc_lr[sender]
         ledger = self.ledgers[sender]
@@ -470,7 +453,7 @@ class Simulator:
             self.hops_sum[source] += hops
         else:
             self.lr_in_flight[source] += 1
-        return res
+        return full
 
     # --- short-range medium: both paths ---------------------------------------
 
@@ -643,14 +626,6 @@ class Simulator:
         self._try_start_sr(node)
         self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
 
-    def _h_recheck(self, node: int) -> None:
-        src = self.sources[node]
-        if src.recheck_at != self.now:
-            return  # a later expiry superseded this one
-        src.recheck_at = None
-        if src.blocked == "SR":
-            self._unblock(src, self.now)
-
     def _h_mobility(self) -> None:
         params = self.cfg.mobility
         self.mob_states = mob.advance_all(
@@ -691,8 +666,6 @@ class Simulator:
                 self._h_sr_txend(node, payload)
             elif kind == _K_BEACON:
                 self._h_beacon_due(node)
-            elif kind == _K_RECHECK:
-                self._h_recheck(node)
             else:
                 self._h_mobility()
 

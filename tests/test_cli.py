@@ -176,12 +176,14 @@ _INF = float("inf")
 
 
 def _dump(base, overrides):
-    # a str or bytes override is YAML text appended to the dumped base, so
-    # it can repeat a key or break the syntax or the encoding
+    # a str override is YAML text appended to the dumped base, so it can
+    # repeat a key or break the syntax; bytes, which break the encoding, go
+    # in as the second line
     if isinstance(overrides, str):
         return yaml.safe_dump(base) + overrides
     if isinstance(overrides, bytes):
-        return yaml.safe_dump(base).encode() + overrides
+        head, rest = yaml.safe_dump(base).encode().split(b"\n", 1)
+        return head + b"\n" + overrides + rest
     return yaml.safe_dump({**base, **overrides})
 
 
@@ -240,6 +242,7 @@ def _dump(base, overrides):
     ("sweep", b"name: \xff\n"),
     ("scenario", b"\xff\n"),
     ("report", b"\xff\n"),
+    ("run", {"cbr_rate": 1.0e-320}),  # 1/cbr_rate overflows
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):
@@ -291,7 +294,7 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
     assert "Traceback" not in err
     if isinstance(overrides, (str, bytes)):
         assert path.name in err
-    if command in ("scenario", "report") and isinstance(overrides, bytes):
+    if isinstance(overrides, bytes):
         assert "line 2" in err
 
 

@@ -51,6 +51,12 @@ def test_validation_errors():
             SimConfig(**kwargs)
 
 
+def test_cbr_rate_whose_period_overflows_is_rejected():
+    with pytest.raises(ConfigError, match="cbr_rate"):
+        SimConfig(cbr_rate=1.0e-320)
+    assert SimConfig(cbr_rate=1.0e-300).cbr_rate == 1.0e-300
+
+
 def test_parse_config_minimal_and_modes():
     cfg, both = parse_config({})
     assert cfg.mode is Mode.COOPERATIVE and not both

@@ -42,6 +42,9 @@ def test_first_k_at_or_after():
     assert _first_k_at_or_after(0.5, 1.0, 0.5) == 0
     assert _first_k_at_or_after(0.5, 1.0, 0.6) == 1
     assert _first_k_at_or_after(0.5, 1.0, 10.5) == 10
+    # a floor: the first arrival not yet emitted
+    assert _first_k_at_or_after(0.5, 1.0, 0.6, lo=3) == 3
+    assert _first_k_at_or_after(0.5, 1.0, 10.5, lo=3) == 10
     # robust to accumulated float noise around the grid point
     assert _first_k_at_or_after(0.1, 0.1, 0.1 * 3) in (2, 3)
     k = _first_k_at_or_after(0.0, 1.0 / 3000.0, 100.0)
@@ -159,7 +162,8 @@ def _cases(draw):
     cbr_rate=3000.0, beacon_period=0.5, beacon_energy_counted=False,
 ))
 # one-slot queues and short table timeouts: sources block on a full
-# short-range queue, and the recheck at an entry's expiry unblocks them
+# short-range queue, and the wake arrival at an entry's expiry ends those
+# blocks (5 such wakes fire on a still-blocked source here)
 @example(case=_case(
     60.0, 20.0, 10, 2, 0, mobile=False, mode=Mode.COOPERATIVE, duration=2.0,
     cbr_rate=3000.0, beacon_period=0.2, cs_range_factor=1.0, sr_queue_cap=1,

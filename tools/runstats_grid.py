@@ -8,11 +8,14 @@ change to the simulator keeps its results.
 3 scenarios x cs_range_factor 6 and 1.5 x 50 and 3000 pkt/s x mobility off
 and at 3 m/s x both modes x queue caps 50 and 1 x seeds 1-2 x beacon periods
 1 and 0.2 s x trace off and on, 2 s each.  It writes one JSON line per run:
-its grid key, `dataclasses.asdict(RunStats)`, and the row count and sha256
-of its trace rows.  To compare two versions, copy this file into both
-checkouts, dump in each, then `compare` the two files.  `compare` prints
-how many runs are equal, the worst relative float difference and the first
-differing field, and exits 1 unless every run is equal.
+its grid key, `dataclasses.asdict(RunStats)`, the row count and sha256 of
+its trace rows, and its heap-push count (`Simulator._seq`).  To compare two
+versions, copy this file into both checkouts, dump in each, then `compare`
+the two files.  `compare` prints how many runs are equal, the worst relative
+float difference and the first differing field, and exits 1 unless every
+run is equal.  It also prints both heap-push totals and the range of the
+per-run change, which is not part of the verdict: a change may push fewer
+events for the same results.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cesrsim.config import Mode, SimConfig  # noqa: E402
 from cesrsim.mobility import MobilityParams  # noqa: E402
 from cesrsim.scenario import Area, generate_scenario  # noqa: E402
-from cesrsim.simcore import run  # noqa: E402
+from cesrsim.simcore import Simulator  # noqa: E402
 
 DURATION = 2.0
 # name -> (area, nodes, class-A nodes)
@@ -69,13 +72,15 @@ def run_point(p: dict) -> dict:
         mobility=mobility, master_seed=p["seed"],
     )
     trace = [] if p["trace"] else None
-    rs = run(cfg, sc, 0, trace=trace)
+    sim = Simulator(cfg, sc, 0, trace=trace)
+    rs = sim.execute()
     rows = "\n".join(map(repr, trace or []))
     return {
         "key": json.dumps(p, sort_keys=True),
         "stats": asdict(rs),
         "trace_rows": len(trace or []),
         "trace_sha256": hashlib.sha256(rows.encode()).hexdigest(),
+        "pushes": sim._seq,
     }
 
 
@@ -114,6 +119,7 @@ def compare(path_a: str, path_b: str) -> int:
               f"{len(a.keys() & b.keys())} in both")
         return 1
     equal, worst, first = 0, 0.0, None
+    pushes = [(a[key].pop("pushes"), b[key].pop("pushes")) for key in a]
     for key in a:
         diffs = list(_diffs(a[key], b[key], "run"))
         if not diffs:
@@ -126,6 +132,9 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"worst relative float difference: {worst!r}")
     if first is not None:
         print(f"first difference: {first}")
+    changes = [pb - pa for pa, pb in pushes]
+    print(f"heap pushes: {sum(pa for pa, _ in pushes)} and {sum(pb for _, pb in pushes)}; "
+          f"per-run change from {min(changes):+d} to {max(changes):+d} (not compared)")
     return 0 if equal == len(a) else 1
 
 
