@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .scenario import Area, Position, is_finite_number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

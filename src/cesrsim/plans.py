@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
 from typing import get_type_hints
-
-import numpy as np
 
 from .config import ConfigError, Mode, SimConfig, load_yaml, parse_config, _check_keys, _is_int
 from .metrics import energy_efficiency, gain
@@ -74,6 +71,8 @@ class SweepPoint:
         return cfg
 
     def scenario_seed(self, run_index: int) -> int:
+        import numpy as np  # at the first draw, so commands that draw nothing start without numpy
+
         # deliberately independent of the axis value: every point along the
         # axis sees the same scenarios, so trends are paired, not confounded
         # by topology variance (node_count sweeps redraw positions anyway)
@@ -232,6 +231,8 @@ def run_sweep(
     with ExitStack() as stack:
         # one zero-argument callable per point that returns its row
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only --parallel loads the pool
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = [pool.submit(run_point, p).result for p in points]
         else:

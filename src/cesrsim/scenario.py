@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def is_finite_number(value) -> bool:
@@ -192,6 +193,8 @@ def generate_scenario(
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
     _check_tx_range(tx_range)
+    import numpy as np  # at the first draw, so commands that draw nothing start without numpy
+
     rng = np.random.default_rng(seed)
     for attempt in range(1, max_attempts + 1):
         positions = place_random(area, n_total, rng)

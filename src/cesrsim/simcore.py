@@ -92,8 +92,6 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-import numpy as np
-
 from . import mobility as mob
 from .config import Mode, SimConfig
 from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit, interface_energy
@@ -261,6 +259,8 @@ class Simulator:
         self.dropped_link = [0] * n
         self.relayed = [0] * n
         self.hops_sum = [0] * n
+
+        import numpy as np  # at the first draw, so commands that draw nothing start without numpy
 
         # per-run child streams so benchmark/cooperative runs with the same
         # seed see identical phases and trajectories

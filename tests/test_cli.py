@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -6,6 +10,8 @@ import yaml
 from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from cesrsim.plans import SWEEP_COLUMNS
 from cesrsim.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -316,3 +322,52 @@ def test_seed_override_must_be_non_negative(tmp_path, scenario_file, capsys):
                "--out", str(tmp_path / "out"), "--seed", "-1"])
     assert rc == EXIT_INVALID
     assert "master_seed" in capsys.readouterr().err
+
+
+def _fresh_python(code, *args):
+    """Runs `code` in a new interpreter that imports cesrsim from this
+    checkout; returns its standard output and fails on a non-zero exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# numpy and the process pool are loaded only by the commands that use them
+_LEAN_START = """
+import sys
+from cesrsim.cli import load_config, load_plan, main
+load_plan(sys.argv[1])
+load_config(sys.argv[2])
+assert main(["report", "--sweep", sys.argv[3]]) == 0
+assert main(["run", "--config", sys.argv[4], "--scenario", "none.txt",
+             "--out", sys.argv[5]]) == 2
+print(sorted({"numpy", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_start_up_loads_neither_numpy_nor_the_process_pool(tmp_path):
+    cfg = _write_config(tmp_path, yaml.safe_dump(_CONFIG))
+    bad = _write_config(tmp_path, "duratin: 2\n", name="bad.yaml")
+    out = _fresh_python(_LEAN_START, ROOT / "plans" / "traffic.yaml", cfg,
+                        ROOT / "tests" / "golden" / "traffic.csv", bad, tmp_path / "out")
+    assert out.splitlines()[-1] == "[]"
+
+
+_PARALLEL_SWEEP = """
+import sys
+from cesrsim.cli import main
+assert main(["sweep", "--plan", sys.argv[1], "--out", sys.argv[2], "--parallel", "2"]) == 0
+assert "numpy" not in sys.modules
+assert main(["sweep", "--plan", sys.argv[1], "--out", sys.argv[3], "--parallel", "1"]) == 0
+"""
+
+
+def test_parallel_sweep_from_a_process_without_numpy_matches_serial(tmp_path):
+    # pytest has numpy loaded, so only a fresh interpreter forks workers
+    # that must import it themselves
+    plan = _write_config(tmp_path, yaml.safe_dump(
+        dict(_PLAN, values=[100, 1000], config={"duration": 0.2, "runs": 1})), name="plan.yaml")
+    _fresh_python(_PARALLEL_SWEEP, plan, tmp_path / "p2", tmp_path / "p1")
+    assert (tmp_path / "p2" / "sweep.csv").read_bytes() == (tmp_path / "p1" / "sweep.csv").read_bytes()

@@ -1,9 +1,9 @@
+import concurrent.futures
 from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
-import cesrsim.plans
 from cesrsim.config import ConfigError
 from cesrsim.plans import (
     SWEEP_COLUMNS,
@@ -133,7 +133,7 @@ def test_run_sweep_starts_at_most_one_worker_per_point(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cesrsim.plans, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     plan = _plan(config={"duration": 0.2, "runs": 1})
     rows, failures = run_sweep(plan, parallel=64)
     assert started == [2]
