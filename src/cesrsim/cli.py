@@ -43,6 +43,31 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 
+# Trace rows a run holds before they are written: about 0.5 MB.
+TRACE_CHUNK_ROWS = 4096
+
+
+class _ChunkedTrace(list):
+    """The trace list of one run that writes its rows to the run's CSV
+    through write_trace_csv every TRACE_CHUNK_ROWS rows and then clears
+    itself, so a traced run's memory does not grow with its length.  The
+    first write makes the file; flush() writes the rows left at the end."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = path
+        self.started = False  # the file and its header are written
+
+    def append(self, row) -> None:
+        list.append(self, row)
+        if len(self) == TRACE_CHUNK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        write_trace_csv(self, self.path, header=not self.started)
+        self.started = True
+        self.clear()
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -121,13 +146,19 @@ def cmd_run(args) -> int:
         ensure_dir(mode_dir)
         stats = []
         for run_index in range(mcfg.runs):
-            trace = [] if args.trace else None
+            trace = (_ChunkedTrace(mode_dir / f"trace_run{run_index}.csv")
+                     if args.trace else None)
             mtrace = [] if args.mobility_trace else None
-            rs = run(mcfg, scenario, run_index, trace=trace, mobility_trace=mtrace)
+            try:
+                rs = run(mcfg, scenario, run_index, trace=trace, mobility_trace=mtrace)
+            except BaseException:
+                if trace is not None and trace.started:
+                    trace.path.unlink(missing_ok=True)  # a failed run leaves no trace file
+                raise
             stats.append(rs)
             write_ledger_csv(rs, mcfg.power_profiles, mode_dir / f"ledger_run{run_index}.csv")
             if trace is not None:
-                write_trace_csv(trace, mode_dir / f"trace_run{run_index}.csv")
+                trace.flush()
             if mtrace is not None:
                 write_mobility_trace_csv(mtrace, mode_dir / f"mobility_run{run_index}.csv")
         write_node_csv(stats, mode_dir / "nodes.csv")

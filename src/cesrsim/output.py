@@ -5,7 +5,9 @@ produce byte-identical files.  Every file goes through csv.writer except the
 per-packet trace, the one large file, whose lines are formatted directly.
 Those are the lines csv would write: no trace field (an int, "SR"/"LR", ""
 or a float) holds a comma, quote or line break, so csv quotes none, and csv
-writes a float as str(x), which equals repr(x).
+writes a float as str(x), which equals repr(x).  The trace can also be
+written in chunks while a run makes it: the first call writes the header,
+each later one appends its rows, and the file has the same bytes.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def write_ledger_csv(rs: RunStats, profiles, path) -> None:
     write_rows(path, LEDGER_COLUMNS, rows)
 
 
-def write_trace_csv(rows, path) -> None:
-    """Header plus one line per (time, node, decision, next_hop, eq1, lr_cost) row.
+def write_trace_csv(rows, path, header: bool = True) -> None:
+    """Header plus one line per (time, node, decision, next_hop, eq1, lr_cost) row;
+    with header=False, append the rows to the file and write no header.
 
     Writes the bytes write_rows would (see the module docstring), streamed
     a line at a time so no copy of the file is held in memory.  The text
@@ -81,9 +84,10 @@ def write_trace_csv(rows, path) -> None:
     that print differently are 0.0 and -0.0, and costs are positive.
     """
     tails = {}
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "w" if header else "a", encoding="ascii", newline="") as fh:
         write = fh.write
-        write(",".join(TRACE_COLUMNS) + "\n")
+        if header:
+            write(",".join(TRACE_COLUMNS) + "\n")
         for row in rows:
             tail = tails.get(row[1:])
             if tail is None:

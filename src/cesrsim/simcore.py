@@ -307,10 +307,11 @@ class Simulator:
         else:
             self.sr_tx = [False] * n           # any own frame on the air
             self.tx_start: list[float | None] = [None] * n  # own charged frame's start
-            # transmissions covering each node, from the coverage snapshot
-            # taken at transmission start; a node's medium view is busy while > 0
-            self.busy_count = [0] * n
-            self.rx_count = [0] * n            # the charged ones among them
+            # frames covering each node, from the coverage snapshot taken at
+            # the frame's start, counted apart: charged ones (rx_count) and
+            # uncharged ones; a node's medium view is busy while either is > 0
+            self.rx_count = [0] * n
+            self.uncharged_count = [0] * n
             self.rx_since = [0.0] * n          # start of the current RX interval
             self.sr_rx_s = [0.0] * n
             self._try_start_sr = self._try_start_sr_per_node
@@ -385,7 +386,12 @@ class Simulator:
         self.generated[node] += 1
         full = self._dispatch(node, (node, 0))
         if full is None or self.trace is not None:
-            self._schedule_arrival(src, k + 1)
+            # _schedule_arrival(src, k + 1), inlined: every arrival runs this
+            k += 1
+            src.wake = k
+            if k < src.total_k:
+                self._seq += 1
+                heappush(self.heap, (src.phase + k * src.period, _K_ARRIVAL, node, self._seq, k))
         else:
             # the target is full, so the next arrival would be dropped
             self._block(src, full)
@@ -412,7 +418,8 @@ class Simulator:
             self.dropped_queue[pkt[0]] += 1
             return "SR"
         q.append((nh, (pkt[0], pkt[1] + 1)))
-        self._try_start_sr(node)
+        if self.waiting[node] is None:  # a deferred node's view is busy
+            self._try_start_sr(node)
         return "SR" if len(q) >= self.sr_cap else None
 
     def _on_sr_delivery(self, node: int, pkt: tuple[int, int]) -> None:
@@ -522,7 +529,8 @@ class Simulator:
         q = self.sr_queues[node]
         if not q:
             return
-        if self.busy_count[node] > 0:
+        rx_count, uncharged_count = self.rx_count, self.uncharged_count
+        if rx_count[node] or uncharged_count[node]:
             self._defer(node)
             return
         waited = self.waiting[node]
@@ -531,56 +539,66 @@ class Simulator:
             self.defer_q.remove((waited, node))
         nh, payload, charge, dur = self._pop_frame(node)
         now = self.now
-        busy_count = self.busy_count
+        sr_tx = self.sr_tx
         receivable = None
         if nh < 0:  # a beacon is delivered where a decode-range view is clear
-            receivable = [j for j in self.nbrs[node] if not self.sr_tx[j] and busy_count[j] == 0]
+            receivable = [j for j in self.nbrs[node]
+                          if not (sr_tx[j] or rx_count[j] or uncharged_count[j])]
         # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
         # and never mutates old ones, so this reference is a snapshot
         covered_cs = self.nbrs_cs[node]
-        self.sr_tx[node] = True
-        for j in covered_cs:
-            busy_count[j] += 1
+        sr_tx[node] = True
         if charge:
             tx_start = self.tx_start
             tx_start[node] = now
-            rx_count = self.rx_count
             rx_since = self.rx_since
             for j in covered_cs:
                 c = rx_count[j] + 1
                 rx_count[j] = c
                 if c == 1 and tx_start[j] is None:
                     rx_since[j] = now
+        else:
+            for j in covered_cs:
+                uncharged_count[j] += 1
         self._push(now + dur, _K_SR_TXEND, node, (nh, payload, covered_cs, receivable, charge))
 
     def _h_sr_txend_per_node(self, sender: int, frame) -> None:
         nh, payload, covered_cs, receivable, charge = frame
         self.sr_tx[sender] = False
         now = self.now
-        busy_count = self.busy_count
-        for j in covered_cs:
-            busy_count[j] -= 1
+        rx_count, uncharged_count = self.rx_count, self.uncharged_count
+        waiting = self.waiting
+        cleared = []  # (first wait time, node) of deferred nodes this end clears
         if charge:
             tx_start = self.tx_start
-            rx_count = self.rx_count
             rx_since = self.rx_since
             sr_rx_s = self.sr_rx_s
             for j in covered_cs:
                 c = rx_count[j] - 1
                 rx_count[j] = c
-                if c == 0 and tx_start[j] is None:
-                    sr_rx_s[j] += now - rx_since[j]
+                if c == 0:
+                    if tx_start[j] is None:
+                        sr_rx_s[j] += now - rx_since[j]
+                    if waiting[j] is not None and not uncharged_count[j]:
+                        cleared.append((waiting[j], j))
             self.sr_tx_s[sender] += now - tx_start[sender]
             tx_start[sender] = None
             if rx_count[sender] > 0:
                 rx_since[sender] = now
-        # medium freed inside the sensing set: deferred nodes with a clear
-        # view retry in queue order, then the sender itself.  Every deferred
-        # node outside covered_cs still senses a frame, so the walk skips it;
-        # one that starts leaves the queue, hence the copy.
-        for _, n2 in self.defer_q[:]:
-            if busy_count[n2] == 0:
-                self._try_start_sr(n2)
+        else:
+            for j in covered_cs:
+                c = uncharged_count[j] - 1
+                uncharged_count[j] = c
+                if c == 0 and waiting[j] is not None and not rx_count[j]:
+                    cleared.append((waiting[j], j))
+        # medium freed inside the sensing set: deferred nodes whose view it
+        # cleared retry in queue order, then the sender itself.  No other
+        # deferred node can start: between events every deferred node senses
+        # a frame, since each frame end that clears its view retries it; one
+        # that an earlier start here made busy again stays deferred.
+        cleared.sort()
+        for _, j in cleared:
+            self._try_start_sr(j)
         self._try_start_sr(sender)
         self._sr_received(sender, nh, payload, receivable)
 
@@ -642,7 +660,9 @@ class Simulator:
 
     def execute(self) -> RunStats:
         cfg = self.cfg
-        if self.mob_states is not None:
+        # positions matter only to the short-range MAC and beacons, which
+        # benchmark mode never runs, so it steps only to trace them
+        if self.mob_states is not None and (self.coop or self.mobility_trace is not None):
             if self.mobility_trace is not None:
                 for i, p in enumerate(self.pos):
                     self.mobility_trace.append((0.0, i, p.x, p.y))

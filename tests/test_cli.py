@@ -2,14 +2,20 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+import cesrsim.cli
+from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, TRACE_CHUNK_ROWS, main
+from cesrsim.config import Mode, load_config
+from cesrsim.output import write_trace_csv
 from cesrsim.plans import SWEEP_COLUMNS
 from cesrsim.scenario import load_scenario
+from cesrsim.simcore import run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +92,57 @@ def test_run_repeat_is_byte_identical(tmp_path, scenario_file):
     assert files
     for rel in files:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_chunked_trace_has_the_bytes_of_one_write(tmp_path, scenario_file):
+    # --trace writes each run's rows while the run makes them, in chunks
+    cfg_path = _write_config(tmp_path, "duration: 0.5\nruns: 1\ncbr_rate: 3000\nmode: both\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--scenario", str(scenario_file),
+               "--out", str(out), "--trace"])
+    assert rc == EXIT_OK
+    cfg, _ = load_config(cfg_path)
+    scenario = load_scenario(scenario_file)
+    for mode in (Mode.BENCHMARK, Mode.COOPERATIVE):
+        rows = []
+        run(replace(cfg, mode=mode), scenario, 0, trace=rows)
+        assert len(rows) > 2 * TRACE_CHUNK_ROWS
+        want = tmp_path / f"{mode.value}.csv"
+        write_trace_csv(rows, want)
+        assert (out / mode.value / "trace_run0.csv").read_bytes() == want.read_bytes()
+
+
+def test_traced_run_memory_does_not_grow_with_its_length(tmp_path, scenario_file):
+    peaks = []
+    for duration in (1, 4):
+        cfg = _write_config(tmp_path, f"duration: {duration}\nruns: 1\ncbr_rate: 3000\n"
+                            "mode: benchmark\n", name=f"cfg{duration}.yaml")
+        tracemalloc.start()
+        try:
+            rc = main(["run", "--config", str(cfg), "--scenario", str(scenario_file),
+                       "--out", str(tmp_path / f"out{duration}"), "--trace"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+    # holding every row would add about 131 B per row: 8 MB over these 3 s
+    assert abs(peaks[1] - peaks[0]) < 2e6, peaks
+
+
+def test_failed_traced_run_leaves_no_trace_file(tmp_path, scenario_file, monkeypatch, capsys):
+    def failing_run(cfg, scenario, run_index, trace=None, mobility_trace=None):
+        for k in range(5000):  # more than one chunk, so part of the file is written
+            trace.append((k * 1e-3, 0, "LR", "", float("inf"), 1.0))
+        raise ValueError("simulated failure")
+
+    monkeypatch.setattr(cesrsim.cli, "run", failing_run)
+    cfg = _write_config(tmp_path, "duration: 1\nruns: 1\nmode: benchmark\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg), "--scenario", str(scenario_file),
+               "--out", str(out), "--trace"])
+    assert rc == EXIT_RUNTIME
+    assert "simulated failure" in capsys.readouterr().err
+    assert not (out / "benchmark" / "trace_run0.csv").exists()
 
 
 def test_run_seed_override_changes_results(tmp_path, scenario_file):

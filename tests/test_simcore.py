@@ -122,6 +122,23 @@ def _case(width, height, n, n_class_a, seed, mobile, **cfg):
     return SimConfig(runs=1, mobility=mobility, **cfg), sc
 
 
+def _assert_deferred_nodes_sense_a_frame(sim):
+    """Check after every frame end that each deferred node's medium view is
+    busy: a frame end retries only the deferred nodes whose view it cleared,
+    and dispatch does not retry a deferred node."""
+    handler = sim._h_sr_txend
+
+    def checked(sender, frame):
+        handler(sender, frame)
+        for _, j in sim.defer_q:
+            if sim.complete_medium:
+                assert sim.air is not None and sim.air[0] != j
+            else:
+                assert sim.rx_count[j] or sim.uncharged_count[j]
+
+    sim._h_sr_txend = checked
+
+
 @st.composite
 def _cases(draw):
     n = draw(st.integers(2, 10))
@@ -183,7 +200,9 @@ def _cases(draw):
 ))
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
-    fast = run(cfg, sc, 0)
+    sim = Simulator(cfg, sc, 0)
+    _assert_deferred_nodes_sense_a_frame(sim)
+    fast = sim.execute()
     assert run(cfg, sc, 0, trace=[]) == fast
     for i in range(fast.n_nodes):
         assert fast.generated[i] == (
@@ -192,11 +211,12 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
         for secs in fast.iface_seconds[i].values():
             assert sum(secs) == pytest.approx(cfg.duration, rel=1e-12)
             assert min(secs) >= 0.0
-    sim = Simulator(cfg, sc, 0)
     if not sim.complete_medium:
         return
     # the complete-medium path against the per-node path on the same inputs
+    sim = Simulator(cfg, sc, 0)
     sim._use_sr_path(False)
+    _assert_deferred_nodes_sense_a_frame(sim)
     _assert_equal_up_to_rounding(fast, sim.execute())
     if cfg.mode is Mode.COOPERATIVE:
         # one transmission on the air at a time
@@ -288,6 +308,22 @@ def test_benchmark_pushes_only_arrivals_it_accepts():
     rs = sim.execute()
     assert sum(rs.dropped_queue) > 0
     assert sim._seq == sum(rs.delivered_pkts) + sum(rs.in_flight)
+
+
+def test_benchmark_mode_steps_mobility_only_to_trace_it():
+    # positions matter only to the short-range MAC and beacons, which
+    # benchmark mode never runs
+    base = dict(duration=2.0, runs=1, cbr_rate=3000.0, mode=Mode.BENCHMARK)
+    sc = _scenario(n=10, ca=2, seed=4)
+    static = Simulator(SimConfig(**base), sc, 0)
+    moving = Simulator(SimConfig(mobility=MobilityParams(mean_speed=3.0), **base), sc, 0)
+    assert moving.execute() == static.execute()
+    assert moving._seq == static._seq
+    # a requested mobility trace still records every step
+    mtrace = []
+    run(SimConfig(mobility=MobilityParams(mean_speed=3.0, update_interval=0.5), **base), sc, 0,
+        mobility_trace=mtrace)
+    assert sorted({t for t, *_ in mtrace}) == [0.0, 0.5, 1.0, 1.5]
 
 
 def test_partial_sensing_short_range_seconds_per_clique():
