@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from .scenario import Area, Position, is_finite_number
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .rng import Generator
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class MobilityState:
 
 
 def init_states(
-    positions: list[Position], params: MobilityParams, rng: np.random.Generator
+    positions: list[Position], params: MobilityParams, rng: Generator
 ) -> list[MobilityState]:
     """One state per node; initial direction drawn uniformly, speed at the mean.
 
@@ -69,7 +69,7 @@ def init_states(
     return states
 
 
-def gm_step(state: MobilityState, params: MobilityParams, rng: np.random.Generator) -> MobilityState:
+def gm_step(state: MobilityState, params: MobilityParams, rng: Generator) -> MobilityState:
     """One raw Gauss-Markov update; the result may lie outside the area.
 
     Consumes exactly two gaussian draws.  Negative speeds are clamped to 0.
@@ -135,7 +135,7 @@ def reflect(state: MobilityState, area: Area) -> MobilityState:
 
 
 def advance_all(
-    states: list[MobilityState], params: MobilityParams, area: Area, rng: np.random.Generator
+    states: list[MobilityState], params: MobilityParams, area: Area, rng: Generator
 ) -> list[MobilityState]:
     """Step every node in node-id order (fixed rng consumption order):
     gm_step, then reflect."""

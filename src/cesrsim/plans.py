@@ -71,17 +71,16 @@ class SweepPoint:
         return cfg
 
     def scenario_seed(self, run_index: int) -> int:
-        import numpy as np  # at the first draw, so commands that draw nothing start without numpy
+        # imported at the first draw, so commands that draw nothing never load rng.py
+        from .rng import SeedSequence
 
         # deliberately independent of the axis value: every point along the
         # axis sees the same scenarios, so trends are paired, not confounded
         # by topology variance (node_count sweeps redraw positions anyway)
-        ss = np.random.SeedSequence(
-            entropy=self.plan.base.master_seed,
-            spawn_key=(self.area_index, self.ca_index, run_index),
-        )
-        words = ss.generate_state(2)
-        return (int(words[0]) << 32) | int(words[1])
+        ss = SeedSequence(self.plan.base.master_seed,
+                          spawn_key=(self.area_index, self.ca_index, run_index))
+        hi, lo = ss.generate_state(2)
+        return (hi << 32) | lo
 
 
 @dataclass

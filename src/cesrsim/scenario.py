@@ -15,7 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .rng import Generator
 
 
 def is_finite_number(value) -> bool:
@@ -105,7 +105,7 @@ class Scenario:
         return [n.position for n in self.nodes]
 
 
-def place_random(area: Area, n: int, rng: np.random.Generator) -> list[Position]:
+def place_random(area: Area, n: int, rng: Generator) -> list[Position]:
     """Draw n positions uniformly over the area.
 
     Consumes exactly 2n uniform draws from ``rng`` (x then y per node), which
@@ -193,9 +193,10 @@ def generate_scenario(
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
     _check_tx_range(tx_range)
-    import numpy as np  # at the first draw, so commands that draw nothing start without numpy
+    # imported at the first draw, so commands that draw nothing never load rng.py
+    from .rng import Generator, SeedSequence
 
-    rng = np.random.default_rng(seed)
+    rng = Generator(SeedSequence(seed))
     for attempt in range(1, max_attempts + 1):
         positions = place_random(area, n_total, rng)
         adj = connectivity_graph(positions, tx_range)

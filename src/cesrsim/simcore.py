@@ -58,7 +58,7 @@ a shared long-range uplink over [0, duration) seconds:
 
 Determinism: a single event queue ordered by (time, event kind, node id,
 sequence number); all randomness comes from per-run child streams of
-SeedSequence([master_seed, run_index]).
+SeedSequence(master_seed, spawn_key=(run_index,)) in ``rng.py``.
 
 Saturated CBR sources are handled with an exact fast path.  A source blocks
 as soon as one of its own packets finds its target full, or is accepted and
@@ -260,15 +260,15 @@ class Simulator:
         self.relayed = [0] * n
         self.hops_sum = [0] * n
 
-        import numpy as np  # at the first draw, so commands that draw nothing start without numpy
+        # imported at the first draw, so commands that draw nothing never load rng.py
+        from .rng import Generator, SeedSequence
 
         # per-run child streams so benchmark/cooperative runs with the same
         # seed see identical phases and trajectories
-        ss = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(run_index,))
-        kids = ss.spawn(3)
-        self.rng_phase = np.random.Generator(np.random.PCG64(kids[0]))
-        self.rng_beacon = np.random.Generator(np.random.PCG64(kids[1]))
-        self.rng_mob = np.random.Generator(np.random.PCG64(kids[2]))
+        kids = SeedSequence(cfg.master_seed, spawn_key=(run_index,)).spawn(3)
+        self.rng_phase = Generator(kids[0])
+        self.rng_beacon = Generator(kids[1])
+        self.rng_mob = Generator(kids[2])
 
         self.sources: list[_Source | None] = [None] * n
         if cfg.cbr_rate > 0:
@@ -418,7 +418,7 @@ class Simulator:
             self.dropped_queue[pkt[0]] += 1
             return "SR"
         q.append((nh, (pkt[0], pkt[1] + 1)))
-        if self.waiting[node] is None:  # a deferred node's view is busy
+        if len(q) == 1:  # a node with frames queued is on the air or deferred
             self._try_start_sr(node)
         return "SR" if len(q) >= self.sr_cap else None
 
@@ -524,10 +524,10 @@ class Simulator:
     # --- short-range medium: per-node path ------------------------------------
 
     def _try_start_sr_per_node(self, node: int) -> None:
+        """Put the head of a node's queue, which is not empty, on the air, or
+        defer the node while its view is busy; a node on the air retries at
+        its frame end."""
         if self.sr_tx[node]:
-            return
-        q = self.sr_queues[node]
-        if not q:
             return
         rx_count, uncharged_count = self.rx_count, self.uncharged_count
         if rx_count[node] or uncharged_count[node]:
@@ -598,16 +598,16 @@ class Simulator:
         # that an earlier start here made busy again stays deferred.
         cleared.sort()
         for _, j in cleared:
-            self._try_start_sr(j)
-        self._try_start_sr(sender)
+            if not (rx_count[j] or uncharged_count[j]):
+                self._try_start_sr(j)
+        if self.sr_queues[sender]:
+            self._try_start_sr(sender)
         self._sr_received(sender, nh, payload, receivable)
 
     # --- short-range medium: complete-medium path -------------------------------
 
     def _try_start_sr_complete(self, node: int) -> None:
-        q = self.sr_queues[node]
-        if not q:
-            return
+        """As _try_start_sr_per_node, with one frame on the air at a time."""
         air = self.air
         if air is not None:
             # every node but the sender senses the frame on the air
@@ -634,14 +634,17 @@ class Simulator:
             head = self.defer_q.pop(0)[1]
             self.waiting[head] = None
             self._try_start_sr_complete(head)
-        self._try_start_sr_complete(sender)
+        if self.sr_queues[sender]:
+            self._try_start_sr_complete(sender)
         self._sr_received(sender, nh, payload, receivable)
 
     # --- periodic events --------------------------------------------------------
 
     def _h_beacon_due(self, node: int) -> None:
-        self.sr_queues[node].append((-1, self.routing[node].make_beacon(self.now)))
-        self._try_start_sr(node)
+        q = self.sr_queues[node]
+        q.append((-1, self.routing[node].make_beacon(self.now)))
+        if len(q) == 1:  # as in _dispatch
+            self._try_start_sr(node)
         self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
 
     def _h_mobility(self) -> None:

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -391,25 +392,52 @@ def _fresh_python(code, *args):
     return proc.stdout
 
 
-# numpy and the process pool are loaded only by the commands that use them
-_LEAN_START = """
-import sys
+# numpy is a test dependency only: a fresh interpreter in which `import
+# numpy` raises starts up without the process pool, then draws scenarios,
+# phases, beacon offsets and mobility normals and forks sweep workers
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # `import numpy` raises ImportError from here on
 from cesrsim.cli import load_config, load_plan, main
 load_plan(sys.argv[1])
 load_config(sys.argv[2])
 assert main(["report", "--sweep", sys.argv[3]]) == 0
 assert main(["run", "--config", sys.argv[4], "--scenario", "none.txt",
              "--out", sys.argv[5]]) == 2
-print(sorted({"numpy", "concurrent.futures"} & set(sys.modules)))
+assert "concurrent.futures" not in sys.modules
+for argv in json.loads(sys.argv[6]):
+    assert main(argv) == 0, argv
 """
 
 
-def test_start_up_loads_neither_numpy_nor_the_process_pool(tmp_path):
-    cfg = _write_config(tmp_path, yaml.safe_dump(_CONFIG))
+def _drawing_commands(cfg, plan, out):
+    scen = str(out / "scen.txt")
+    return [
+        ["generate", "--area", "60", "20", "--nodes", "8", "--class-a", "2",
+         "--seed", "3", "--out", scen],
+        ["run", "--config", str(cfg), "--scenario", scen, "--out", str(out / "run"), "--trace"],
+        ["sweep", "--plan", str(plan), "--out", str(out / "sweep"), "--parallel", "2"],
+    ]
+
+
+def test_commands_write_the_same_bytes_without_numpy(tmp_path):
+    cfg = _write_config(tmp_path, yaml.safe_dump(
+        dict(_CONFIG, duration=0.5, mobility={"mean_speed": 3.0, "update_interval": 0.1})))
+    plan = _write_config(tmp_path, yaml.safe_dump(
+        dict(_PLAN, values=[100, 1000], config={"duration": 0.2, "runs": 1})), name="plan.yaml")
     bad = _write_config(tmp_path, "duratin: 2\n", name="bad.yaml")
-    out = _fresh_python(_LEAN_START, ROOT / "plans" / "traffic.yaml", cfg,
-                        ROOT / "tests" / "golden" / "traffic.csv", bad, tmp_path / "out")
-    assert out.splitlines()[-1] == "[]"
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    _fresh_python(_WITHOUT_NUMPY, plan, cfg, ROOT / "tests" / "golden" / "traffic.csv", bad,
+                  tmp_path / "bad_out", json.dumps(_drawing_commands(cfg, plan, fresh)))
+    for argv in _drawing_commands(cfg, plan, here):
+        assert main(argv) == EXIT_OK, argv
+    files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+    assert len(files) > 10
+    assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    for rel in files:
+        assert (fresh / rel).read_bytes() == (here / rel).read_bytes(), rel
 
 
 _PARALLEL_SWEEP = """
@@ -422,8 +450,8 @@ assert main(["sweep", "--plan", sys.argv[1], "--out", sys.argv[3], "--parallel",
 
 
 def test_parallel_sweep_from_a_process_without_numpy_matches_serial(tmp_path):
-    # pytest has numpy loaded, so only a fresh interpreter forks workers
-    # that must import it themselves
+    # workers forked from a fresh interpreter, not from pytest's, which has
+    # numpy and the rest of the test suite's imports loaded
     plan = _write_config(tmp_path, yaml.safe_dump(
         dict(_PLAN, values=[100, 1000], config={"duration": 0.2, "runs": 1})), name="plan.yaml")
     _fresh_python(_PARALLEL_SWEEP, plan, tmp_path / "p2", tmp_path / "p1")

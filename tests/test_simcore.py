@@ -122,21 +122,33 @@ def _case(width, height, n, n_class_a, seed, mobile, **cfg):
     return SimConfig(runs=1, mobility=mobility, **cfg), sc
 
 
-def _assert_deferred_nodes_sense_a_frame(sim):
-    """Check after every frame end that each deferred node's medium view is
-    busy: a frame end retries only the deferred nodes whose view it cleared,
-    and dispatch does not retry a deferred node."""
-    handler = sim._h_sr_txend
+def _assert_mac_invariants(sim):
+    """Check after every event the two facts the MAC's skipped calls rely
+    on: a node with frames queued is on the air or deferred, so dispatch
+    starts the MAC only for a node's first queued frame; and each deferred
+    node's medium view is busy, so a frame end retries only the deferred
+    nodes whose view it cleared."""
 
-    def checked(sender, frame):
-        handler(sender, frame)
+    def check():
+        air = sim.air if sim.complete_medium else None
+        for j, q in enumerate(sim.sr_queues):
+            on_air = (air is not None and air[0] == j) if sim.complete_medium else sim.sr_tx[j]
+            assert not q or on_air or sim.waiting[j] is not None
         for _, j in sim.defer_q:
             if sim.complete_medium:
-                assert sim.air is not None and sim.air[0] != j
+                assert air is not None and air[0] != j
             else:
                 assert sim.rx_count[j] or sim.uncharged_count[j]
 
-    sim._h_sr_txend = checked
+    def checked(handler):
+        def run_and_check(*args):
+            handler(*args)
+            check()
+        return run_and_check
+
+    # instance attributes shadow the methods execute() looks up
+    for name in ("_h_arrival", "_h_sr_txend", "_h_beacon_due", "_h_mobility"):
+        setattr(sim, name, checked(getattr(sim, name)))
 
 
 @st.composite
@@ -201,7 +213,7 @@ def _cases(draw):
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
     sim = Simulator(cfg, sc, 0)
-    _assert_deferred_nodes_sense_a_frame(sim)
+    _assert_mac_invariants(sim)
     fast = sim.execute()
     assert run(cfg, sc, 0, trace=[]) == fast
     for i in range(fast.n_nodes):
@@ -216,7 +228,7 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     # the complete-medium path against the per-node path on the same inputs
     sim = Simulator(cfg, sc, 0)
     sim._use_sr_path(False)
-    _assert_deferred_nodes_sense_a_frame(sim)
+    _assert_mac_invariants(sim)
     _assert_equal_up_to_rounding(fast, sim.execute())
     if cfg.mode is Mode.COOPERATIVE:
         # one transmission on the air at a time
