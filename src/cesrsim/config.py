@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -178,6 +179,17 @@ class _StrictLoader(yaml.SafeLoader):
                     raise ConfigError(f"{mark.name}: duplicate key {key!r} on line {mark.line + 1}")
                 seen.add(key)
         return super().construct_mapping(node, deep=deep)
+
+
+# PyYAML follows YAML 1.1, whose floats need a decimal point and a signed
+# exponent, so it reads 9e-6 or 1.0e3 as strings.  YAML 1.2's float form is
+# tried after every YAML 1.1 resolver, so integers stay integers.
+# add_implicit_resolver copies the inherited table, so SafeLoader is unchanged.
+_StrictLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
 
 
 def load_yaml(path):

@@ -82,6 +82,14 @@ unblock or wake only resumes the per-packet loop.  Results are identical to
 the per-packet loop without blocking, which is what --trace uses.  A source
 has one live arrival, its wake, which is next_k while unblocked; an unblock
 can come before the wake fires, so others are stale.
+
+On a saturated long-range source most events are a wake that is accepted
+and blocks again at once, so ``_h_arrival`` handles a source's own packet in
+one call: it counts the batched drops, books a long-range packet on the
+uplink itself (or drops it, if relayed packets of the source took the slot
+that freed), and blocks again with the next wake pushed.  Short-range
+decisions, and under --trace every decision, go through ``_dispatch``; a
+relayed packet's long-range booking is ``_uplink``.
 """
 
 from __future__ import annotations
@@ -332,79 +340,107 @@ class Simulator:
 
     # --- CBR sources --------------------------------------------------------
 
-    def _schedule_arrival(self, src: _Source, k: int) -> None:
-        """Make arrival k the source's live one; push it if due in the run."""
-        src.wake = k
-        if k < src.total_k:
-            self._push(src.phase + k * src.period, _K_ARRIVAL, src.node, k)
+    def _unblock(self, src: _Source, tmin: float) -> None:
+        """End a block at the first arrival at or after tmin, which becomes
+        the live one: every arrival before it was dropped.
 
-    def _block(self, src: _Source, target: str) -> None:
-        """Block a source on its full target until its first arrival at or
-        after the time the block could end by itself."""
-        src.blocked = target
-        if target == "LR":
-            t = self.up_starts[src.node][0]  # the quota frees as this packet starts
-        else:
-            # finite: a short-range decision needs a live entry
-            t = self.routing[src.node].earliest_expiry(self.now)
-        k = _first_k_at_or_after(src.phase, src.period, t, src.next_k)
-        if k == src.pushed_wake:
-            # pushed by an earlier block and still pending: this block is at
-            # arrival next_k - 1, so arrival k >= next_k is after now
-            src.wake = k
-        else:
-            src.pushed_wake = k
-            self._schedule_arrival(src, k)
-
-    def _resume(self, src: _Source, k: int) -> None:
-        """End a block at arrival k: every arrival before it was dropped."""
+        Valid because between blocking and tmin neither the target queue
+        gained space nor the node's routing decision changed.
+        """
+        k = _first_k_at_or_after(src.phase, src.period, tmin, src.next_k)
+        if k > src.total_k:
+            k = src.total_k
         batched = k - src.next_k
         self.generated[src.node] += batched
         self.dropped_queue[src.node] += batched
         src.next_k = k
         src.blocked = None
-
-    def _unblock(self, src: _Source, tmin: float) -> None:
-        """Resume at the first arrival at or after tmin.
-
-        Valid because between blocking and tmin neither the target queue
-        gained space nor the node's routing decision changed.
-        """
-        ks = _first_k_at_or_after(src.phase, src.period, tmin, src.next_k)
-        if ks > src.total_k:
-            ks = src.total_k
-        self._resume(src, ks)
-        self._schedule_arrival(src, ks)
+        src.wake = k
+        if k < src.total_k:
+            self._seq += 1
+            heappush(self.heap, (src.phase + k * src.period, _K_ARRIVAL, src.node, self._seq, k))
 
     def _h_arrival(self, node: int, k: int) -> None:
+        """Arrival k of a source's own packet: end a block it wakes, route
+        the packet, then push the next arrival or block the source."""
         src = self.sources[node]
         if k != src.wake:
             return  # stale: an unblock superseded it
         if src.blocked is not None:
-            self._resume(src, k)
+            # every arrival since the block was dropped
+            batched = k - src.next_k
+            self.generated[node] += batched
+            self.dropped_queue[node] += batched
+            src.blocked = None
         src.next_k = k + 1
         self.generated[node] += 1
-        full = self._dispatch(node, (node, 0))
-        if full is None or self.trace is not None:
-            # _schedule_arrival(src, k + 1), inlined: every arrival runs this
-            k += 1
-            src.wake = k
-            if k < src.total_k:
-                self._seq += 1
-                heappush(self.heap, (src.phase + k * src.period, _K_ARRIVAL, node, self._seq, k))
+        now = self.now
+        nh = self.routing[node].forward_decision(now) if self.coop else None
+        if self.trace is not None:
+            self._dispatch(node, (node, 0), nh)
+            full = None  # every arrival is an event while tracing
+        elif nh is not None:
+            full = self._dispatch(node, (node, 0), nh)
         else:
-            # the target is full, so the next arrival would be dropped
-            self._block(src, full)
+            # _uplink(node, (node, 0)) in place: on saturated runs most
+            # arrivals are a blocked source's wake, booked here and blocked again
+            start = self.up_end
+            full = None
+            if now < start:
+                starts = self.up_starts[node]
+                while starts and starts[0] <= now:
+                    starts.popleft()  # started by now, so no longer waiting
+                if len(starts) < self.up_cap:
+                    starts.append(start)
+                    if len(starts) >= self.up_cap:
+                        full = "LR"
+                else:
+                    # relayed packets of this source took the slot that freed
+                    self.dropped_queue[node] += 1
+                    full = "LR"
+                    start = None
+            else:
+                start = now
+            if start is not None:
+                end = self.up_end = start + self.svc_lr[node]
+                ledger = self.ledgers[node]
+                if start < self.duration:
+                    ledger.transition_state(_LR, _TX, start)
+                if end < self.duration:
+                    ledger.transition_state(_LR, _IDLE, end)
+                    self.delivered_pkts[node] += 1
+                    self.delivered_mb[node] += self.pkt_mb  # 0 hops: hops_sum keeps
+                else:
+                    self.lr_in_flight[node] += 1
+        k += 1
+        if full is not None:
+            # the next arrival would be dropped: block until the first arrival
+            # at or after the time the block could end by itself
+            src.blocked = full
+            if full == "LR":
+                t = self.up_starts[node][0]  # the quota frees as this packet starts
+            else:
+                # finite: a short-range decision needs a live entry
+                t = self.routing[node].earliest_expiry(now)
+            k = _first_k_at_or_after(src.phase, src.period, t, k)
+            if k == src.pushed_wake:
+                # pushed by an earlier block and still pending: this block
+                # is at arrival next_k - 1, so arrival k >= next_k is after now
+                src.wake = k
+                return
+            src.pushed_wake = k
+        src.wake = k
+        if k < src.total_k:
+            self._seq += 1
+            heappush(self.heap, (src.phase + k * src.period, _K_ARRIVAL, node, self._seq, k))
 
     # --- forwarding ---------------------------------------------------------
 
-    def _dispatch(self, node: int, pkt: tuple[int, int]) -> str | None:
-        """Route one (source, hops) packet at `node`; a packet its target has
-        no room for is dropped and counted against its source.  Returns the
-        target, "LR" or "SR", if it is full now, else None."""
-        nh = None
-        if self.coop:
-            nh = self.routing[node].forward_decision(self.now)
+    def _dispatch(self, node: int, pkt: tuple[int, int], nh: int | None) -> str | None:
+        """Send one (source, hops) packet at `node` to next hop `nh`, its
+        routing decision (None: the uplink); a packet its target has no room
+        for is dropped and counted against its source.  Returns the target,
+        "LR" or "SR", if it is full now, else None."""
         if self.trace is not None:
             eq1 = self.routing[node].best_neighbor(self.now)[1] if self.coop else math.inf
             self.trace.append(
@@ -422,19 +458,12 @@ class Simulator:
             self._try_start_sr(node)
         return "SR" if len(q) >= self.sr_cap else None
 
-    def _on_sr_delivery(self, node: int, pkt: tuple[int, int]) -> None:
-        source, hops = pkt
-        if hops >= self.hop_budget:
-            self.dropped_hops[source] += 1
-            return
-        self.relayed[node] += 1
-        self._dispatch(node, pkt)
-
     # --- long-range uplink ----------------------------------------------------
 
     def _uplink(self, sender: int, pkt: tuple[int, int]) -> str | None:
         """Offer a packet to the uplink and book it in full if accepted;
-        returns as _dispatch does."""
+        returns as _dispatch does.  _h_arrival books a source's own packet
+        by the same steps in place."""
         source, hops = pkt
         start = self.up_end
         if self.now < start:
@@ -497,7 +526,17 @@ class Simulator:
                     # the table changed; the batched-drop window ends here
                     self._unblock(src, now)
         elif nh in self.nbrs[sender]:
-            self._on_sr_delivery(nh, payload)
+            # relay the packet at nh
+            source, hops = payload
+            if hops >= self.hop_budget:
+                self.dropped_hops[source] += 1
+                return
+            self.relayed[nh] += 1
+            nxt = self.routing[nh].forward_decision(self.now)
+            if nxt is None and self.trace is None:
+                self._uplink(nh, payload)
+            else:
+                self._dispatch(nh, payload, nxt)
         else:
             self.dropped_link[payload[0]] += 1
 
@@ -675,8 +714,8 @@ class Simulator:
                 offset = cfg.beacon_period * self.rng_beacon.random()
                 self._push(offset, _K_BEACON, i, None)
         for src in self.sources:
-            if src is not None:
-                self._schedule_arrival(src, 0)
+            if src is not None and src.total_k > 0:
+                self._push(src.phase, _K_ARRIVAL, src.node, 0)
 
         heap = self.heap
         duration = self.duration

@@ -166,6 +166,17 @@ def test_run_invalid_config_exits_invalid(tmp_path, scenario_file, capsys):
     assert "duratin" in capsys.readouterr().err
 
 
+def test_run_rejects_an_exponent_count_with_one_line(tmp_path, scenario_file, capsys):
+    # 1e1 reads as the float 10.0, and runs must be an integer
+    cfg = _write_config(tmp_path, "duration: 1\nruns: 1e1\n")
+    rc = main(["run", "--config", str(cfg), "--scenario", str(scenario_file),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "runs" in err and "10.0" in err
+
+
 def test_run_missing_scenario_exits_runtime(tmp_path):
     cfg = _write_config(tmp_path, "duration: 2\n")
     rc = main(["run", "--config", str(cfg), "--scenario", str(tmp_path / "nope.txt"),

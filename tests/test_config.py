@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from cesrsim.config import ConfigError, Mode, SimConfig, load_config, load_yaml, parse_config
 from cesrsim.mobility import MobilityParams
@@ -127,3 +128,17 @@ def test_load_yaml_rejects_repeated_keys_but_keeps_merges(tmp_path):
     # a "<<" merge may override what it merges
     p.write_text("a: &x {b: 1}\nc: {<<: *x, b: 2}\n")
     assert load_yaml(p) == {"a": {"b": 1}, "c": {"b": 2}}
+
+
+def test_load_yaml_reads_floats_with_an_exponent_but_no_decimal_point(tmp_path):
+    # YAML 1.1, which PyYAML follows, reads 9e-6 and 1.0e3 as strings
+    p = tmp_path / "cfg.yaml"
+    p.write_text("contention_slot: 9e-6\ncbr_rate: 1e3\n")
+    cfg, _ = load_config(p)
+    p.write_text("contention_slot: 9.0e-6\ncbr_rate: 1000.0\n")
+    assert cfg == load_config(p)[0] == SimConfig(contention_slot=9.0e-6, cbr_rate=1000.0)
+    p.write_text("a: [1e3, 3.0e3, -2E+1, .5e1, 12, 0x1f, '1e3', 1_000]\n")
+    assert load_yaml(p) == {"a": [1000.0, 3000.0, -20.0, 5.0, 12, 31, "1e3", 1000]}
+    assert [type(x) for x in load_yaml(p)["a"]][4:] == [int, int, str, int]
+    # only the config loader changes; PyYAML's own SafeLoader keeps YAML 1.1
+    assert yaml.safe_load("a: 1e3") == {"a": "1e3"}

@@ -9,6 +9,7 @@ from cesrsim.plans import (
     SWEEP_COLUMNS,
     SweepRow,
     SweepSchemaError,
+    load_plan,
     load_sweep_csv,
     parse_plan,
     run_point,
@@ -220,3 +221,14 @@ def test_summarize_blocks_and_plot_data():
     assert "overall max gain: 30.0% at cbr_rate = 1000" in text
     assert plot["p_60x20_ca2"] == [(100.0, 0.1), (1000.0, 0.3)]
     assert plot["p_100x50_ca2"] == [(100.0, -0.2), (1000.0, 0.2)]
+
+
+def test_load_plan_reads_values_with_an_exponent(tmp_path):
+    path = tmp_path / "plan.yaml"
+    text = ("name: tiny\naxis: cbr_rate\nvalues: {}\nareas: [[60, 20]]\n"
+            "n_total: 6\nclass_a_counts: [2]\nconfig: {{duration: 2.0, runs: 2}}\n")
+    path.write_text(text.format("[1e3, 3e3]"))
+    plan = load_plan(path)
+    assert plan.values == (1000.0, 3000.0)
+    path.write_text(text.format("[1.0e3, 3.0e3]"))
+    assert load_plan(path) == plan

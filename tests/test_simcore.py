@@ -210,6 +210,15 @@ def _cases(draw):
     60.0, 20.0, 10, 2, 7, mobile=False, mode=Mode.COOPERATIVE, duration=2.0,
     cbr_rate=3000.0, beacon_period=0.2, uplink_queue_cap_per_node=1,
 ))
+# one-slot queues under partial sensing: a source blocked on its uplink quota
+# wakes as its waiting packet starts, but relayed packets of the same source
+# took the freed slot, so the wake is dropped and blocks again
+@example(case=(
+    SimConfig(duration=2.0, runs=1, mode=Mode.COOPERATIVE, cbr_rate=3000.0,
+              beacon_period=0.2, cs_range_factor=1.5, uplink_queue_cap_per_node=1,
+              sr_queue_cap=1, master_seed=1),
+    _scenario(n=20, ca=4, area=(100, 50), seed=1),
+))
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
     sim = Simulator(cfg, sc, 0)
