@@ -6,7 +6,8 @@ Subcommands:
   sweep     execute an experiment plan and write sweep.csv
   report    summarize a sweep.csv and emit plot data files
 
-Exit codes: 0 success, 1 runtime failure (including partial sweep failures),
+Exit codes: 0 success, 1 runtime failure (including partial sweep failures
+and a run that breaks packet conservation or time in state),
 2 invalid input (config, plan, scenario file, sweep CSV) or infeasible scenario.
 """
 
@@ -37,7 +38,7 @@ from .plans import (
     write_sweep_csv,
 )
 from .scenario import Area, ScenarioError, generate_scenario, load_scenario, save_scenario
-from .simcore import run
+from .simcore import InvariantError, run
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -230,7 +231,7 @@ def main(argv=None) -> int:
     except (ConfigError, ScenarioError, SweepSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, ZeroDeliveryError, ValueError) as exc:
+    except (OSError, ZeroDeliveryError, ValueError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -21,7 +21,7 @@ from .config import ConfigError, Mode, SimConfig, load_yaml, parse_config, _chec
 from .metrics import energy_efficiency, gain
 from .output import write_rows
 from .scenario import Area, ScenarioError, generate_scenario, is_finite_number, read_text
-from .simcore import run
+from .simcore import InvariantError, run
 
 AXES = ("node_count", "cbr_rate", "mean_speed")
 
@@ -239,7 +239,7 @@ def run_sweep(
         for p, result in zip(points, results):
             try:
                 rows.append(result())
-            except (ScenarioError, ValueError) as exc:
+            except (ScenarioError, ValueError, InvariantError) as exc:
                 failures.append((p, str(exc)))
     return rows, failures
 

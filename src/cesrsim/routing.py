@@ -32,7 +32,10 @@ class NodeRoutingState:
     best_neighbor/make_beacon/forward_decision/earliest_expiry share one
     memo: the best entry and the earliest live expiry at one time.  The live
     set holds from then to that expiry, which keeps per-packet decisions
-    O(1) in steady state.  A beacon invalidates the memo.
+    O(1) in steady state.  A beacon invalidates the memo.  forward_decision
+    and earliest_expiry, called once per routed packet and per short-range
+    block, read the memo in place while it is valid and call best_neighbor
+    only to rebuild it.
     """
 
     __slots__ = (
@@ -61,7 +64,8 @@ class NodeRoutingState:
 
     def earliest_expiry(self, now: float) -> float:
         """Time at which the oldest live entry would expire; +inf if empty."""
-        self.best_neighbor(now)
+        if not self._cache_time <= now <= self._cache_expiry:
+            self.best_neighbor(now)
         return self._cache_expiry
 
     def best_neighbor(self, now: float) -> tuple[int | None, float]:
@@ -96,7 +100,10 @@ class NodeRoutingState:
 
         Short range is chosen only when strictly cheaper.
         """
-        best_id, via = self.best_neighbor(now)
+        if self._cache_time <= now <= self._cache_expiry:
+            best_id, via = self._cache_best
+        else:
+            best_id, via = self.best_neighbor(now)
         return best_id if via < self.lr_cost else None
 
     def make_beacon(self, now: float) -> float:

@@ -51,8 +51,11 @@ a shared long-range uplink over [0, duration) seconds:
   on the air and one sum ``busy`` of charged airtime, and at the end sets
   each node's RX = busy - own TX and IDLE = duration - busy, with no
   per-frame work for the n - 1 receivers.  A frame end hands the medium to
-  the head of the deferral queue, and a beacon reaches every node within
-  tx_range of its sender, since no other radio is busy when a frame starts.
+  the head of the deferral queue itself: it starts the head's frame, whose
+  airtime counts one contention slot per node still deferring after it, and
+  queues the sender behind it if the sender has frames left.  A beacon
+  reaches every node within tx_range of its sender, since no other radio is
+  busy when a frame starts.
   The path is chosen once per run in ``Simulator.__init__``; every other
   input takes the per-node path.
 
@@ -85,11 +88,17 @@ can come before the wake fires, so others are stale.
 
 On a saturated long-range source most events are a wake that is accepted
 and blocks again at once, so ``_h_arrival`` handles a source's own packet in
-one call: it counts the batched drops, books a long-range packet on the
-uplink itself (or drops it, if relayed packets of the source took the slot
-that freed), and blocks again with the next wake pushed.  Short-range
-decisions, and under --trace every decision, go through ``_dispatch``; a
-relayed packet's long-range booking is ``_uplink``.
+one call: it counts the batched drops, queues a short-range packet or books
+a long-range one on the uplink itself (dropping it if relayed packets of the
+source took the slot that freed), and blocks again with the next wake
+pushed.  A traced run takes the same path: it writes the decision's row
+first and never blocks.  A relay writes the same row, then queues the packet
+with ``_enqueue_sr`` or books it with ``_uplink``.
+
+At the end of every run ``_check_invariants`` checks per source that
+generated = delivered + dropped (queue, hops, link) + in flight, and per
+interface that TX + RX + IDLE = duration, and raises ``InvariantError``
+naming the run, the node and the quantity if either fails.
 """
 
 from __future__ import annotations
@@ -121,7 +130,8 @@ _IDLE = RadioState.IDLE
 class _Source:
     """State of one CBR stream: arrivals at phase + k/rate for k = 0, 1, ..."""
 
-    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "wake", "pushed_wake")
+    __slots__ = ("node", "period", "phase", "next_k", "total_k", "blocked", "wake",
+                 "pushed_wake", "pushed_t")
 
     def __init__(self, node: int, period: float, phase: float, total_k: int):
         self.node = node
@@ -132,6 +142,7 @@ class _Source:
         self.blocked: str | None = None  # None | "LR" | "SR"
         self.wake = 0  # k of the one live arrival
         self.pushed_wake = -1  # k of the last wake a block pushed
+        self.pushed_t = -1.0  # the time that wake was computed from
 
 
 def _first_k_at_or_after(phase: float, period: float, t: float, lo: int = 0) -> int:
@@ -144,6 +155,10 @@ def _first_k_at_or_after(phase: float, period: float, t: float, lo: int = 0) -> 
     while k > lo and phase + (k - 1) * period >= t:
         k -= 1
     return k
+
+
+class InvariantError(RuntimeError):
+    """A finished run broke packet conservation or time in state."""
 
 
 @dataclass
@@ -377,10 +392,18 @@ class Simulator:
         now = self.now
         nh = self.routing[node].forward_decision(now) if self.coop else None
         if self.trace is not None:
-            self._dispatch(node, (node, 0), nh)
-            full = None  # every arrival is an event while tracing
-        elif nh is not None:
-            full = self._dispatch(node, (node, 0), nh)
+            self._trace_row(node, nh)
+        if nh is not None:
+            # _enqueue_sr(node, nh, (node, 0)) in place, reporting a full queue
+            q = self.sr_queues[node]
+            if len(q) < self.sr_cap:
+                q.append((nh, (node, 1)))
+                if len(q) == 1:  # a node with frames queued is on the air or deferred
+                    self._try_start_sr(node)
+                full = "SR" if len(q) >= self.sr_cap else None
+            else:
+                self.dropped_queue[node] += 1
+                full = "SR"
         else:
             # _uplink(node, (node, 0)) in place: on saturated runs most
             # arrivals are a blocked source's wake, booked here and blocked again
@@ -413,7 +436,7 @@ class Simulator:
                 else:
                     self.lr_in_flight[node] += 1
         k += 1
-        if full is not None:
+        if full is not None and self.trace is None:  # a traced run never blocks
             # the next arrival would be dropped: block until the first arrival
             # at or after the time the block could end by itself
             src.blocked = full
@@ -422,13 +445,19 @@ class Simulator:
             else:
                 # finite: a short-range decision needs a live entry
                 t = self.routing[node].earliest_expiry(now)
+            # a wake an earlier block pushed is still pending if it is at or
+            # after arrival k = next_k, since the arrival before k is now
+            if t == src.pushed_t and src.pushed_wake >= k:
+                # that block came at an earlier arrival, so below k, and
+                # first_k(t, lo) = max(lo, first_k(t, 0)): the wake is the same
+                src.wake = src.pushed_wake
+                return
             k = _first_k_at_or_after(src.phase, src.period, t, k)
             if k == src.pushed_wake:
-                # pushed by an earlier block and still pending: this block
-                # is at arrival next_k - 1, so arrival k >= next_k is after now
                 src.wake = k
                 return
             src.pushed_wake = k
+            src.pushed_t = t
         src.wake = k
         if k < src.total_k:
             self._seq += 1
@@ -436,34 +465,30 @@ class Simulator:
 
     # --- forwarding ---------------------------------------------------------
 
-    def _dispatch(self, node: int, pkt: tuple[int, int], nh: int | None) -> str | None:
-        """Send one (source, hops) packet at `node` to next hop `nh`, its
-        routing decision (None: the uplink); a packet its target has no room
-        for is dropped and counted against its source.  Returns the target,
-        "LR" or "SR", if it is full now, else None."""
-        if self.trace is not None:
-            eq1 = self.routing[node].best_neighbor(self.now)[1] if self.coop else math.inf
-            self.trace.append(
-                (self.now, node, "SR" if nh is not None else "LR",
-                 nh if nh is not None else "", eq1, self.lr_cost[node])
-            )
-        if nh is None:
-            return self._uplink(node, pkt)
+    def _trace_row(self, node: int, nh: int | None) -> None:
+        """Write the --trace row of the routing decision `nh` at `node`."""
+        now = self.now
+        eq1 = self.routing[node].best_neighbor(now)[1] if self.coop else math.inf
+        self.trace.append((now, node, "SR" if nh is not None else "LR",
+                           nh if nh is not None else "", eq1, self.lr_cost[node]))
+
+    def _enqueue_sr(self, node: int, nh: int, pkt: tuple[int, int]) -> None:
+        """Queue a (source, hops) packet at `node` for next hop `nh`, one hop
+        on; a full queue drops it and counts the drop against its source."""
         q = self.sr_queues[node]
         if len(q) >= self.sr_cap:
             self.dropped_queue[pkt[0]] += 1
-            return "SR"
+            return
         q.append((nh, (pkt[0], pkt[1] + 1)))
-        if len(q) == 1:  # a node with frames queued is on the air or deferred
+        if len(q) == 1:  # as in _h_arrival
             self._try_start_sr(node)
-        return "SR" if len(q) >= self.sr_cap else None
 
     # --- long-range uplink ----------------------------------------------------
 
-    def _uplink(self, sender: int, pkt: tuple[int, int]) -> str | None:
-        """Offer a packet to the uplink and book it in full if accepted;
-        returns as _dispatch does.  _h_arrival books a source's own packet
-        by the same steps in place."""
+    def _uplink(self, sender: int, pkt: tuple[int, int]) -> None:
+        """Offer a relayed (source, hops) packet to the uplink and book it in
+        full if its source's quota has room, else drop it.  _h_arrival books
+        a source's own packet by the same steps in place."""
         source, hops = pkt
         start = self.up_end
         if self.now < start:
@@ -472,11 +497,10 @@ class Simulator:
                 starts.popleft()  # started by now, so no longer waiting
             if len(starts) >= self.up_cap:
                 self.dropped_queue[source] += 1
-                return "LR"
+                return
             starts.append(start)
-            full = "LR" if len(starts) >= self.up_cap else None
         else:
-            start, full = self.now, None
+            start = self.now
         # FIFO, so the sender's ledger gets its transitions in time order
         end = self.up_end = start + self.svc_lr[sender]
         ledger = self.ledgers[sender]
@@ -489,31 +513,8 @@ class Simulator:
             self.hops_sum[source] += hops
         else:
             self.lr_in_flight[source] += 1
-        return full
 
     # --- short-range medium: both paths ---------------------------------------
-
-    def _defer(self, node: int) -> None:
-        """Queue a node that found its medium view busy; a node already
-        waiting keeps its first wait time."""
-        if self.waiting[node] is None:
-            self.waiting[node] = self.now
-            insort(self.defer_q, (self.now, node))
-
-    def _pop_frame(self, node: int) -> tuple:
-        """Pop the head of a node's queue to put it on the air; returns
-        (next hop, payload, charged, airtime)."""
-        nh, payload = self.sr_queues[node].popleft()
-        src = self.sources[node]
-        if src is not None and src.blocked == "SR":
-            # a queue slot just freed
-            self._unblock(src, self.now)
-        if nh < 0:
-            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
-        else:
-            charge, dur = True, self.dur_sr_data
-        # contention overhead: one slot per node still deferring
-        return nh, payload, charge, dur + self.cfg.contention_slot * len(self.defer_q)
 
     def _sr_received(self, sender: int, nh: int, payload, receivable) -> None:
         """Hand a finished frame to its receivers."""
@@ -533,10 +534,12 @@ class Simulator:
                 return
             self.relayed[nh] += 1
             nxt = self.routing[nh].forward_decision(self.now)
-            if nxt is None and self.trace is None:
+            if self.trace is not None:
+                self._trace_row(nh, nxt)
+            if nxt is None:
                 self._uplink(nh, payload)
             else:
-                self._dispatch(nh, payload, nxt)
+                self._enqueue_sr(nh, nxt, payload)
         else:
             self.dropped_link[payload[0]] += 1
 
@@ -569,15 +572,28 @@ class Simulator:
         if self.sr_tx[node]:
             return
         rx_count, uncharged_count = self.rx_count, self.uncharged_count
-        if rx_count[node] or uncharged_count[node]:
-            self._defer(node)
-            return
-        waited = self.waiting[node]
-        if waited is not None:
-            self.waiting[node] = None
-            self.defer_q.remove((waited, node))
-        nh, payload, charge, dur = self._pop_frame(node)
         now = self.now
+        waiting = self.waiting
+        if rx_count[node] or uncharged_count[node]:
+            # a node already waiting keeps its first wait time
+            if waiting[node] is None:
+                waiting[node] = now
+                insort(self.defer_q, (now, node))
+            return
+        waited = waiting[node]
+        if waited is not None:
+            waiting[node] = None
+            self.defer_q.remove((waited, node))
+        nh, payload = self.sr_queues[node].popleft()
+        src = self.sources[node]
+        if src is not None and src.blocked == "SR":
+            self._unblock(src, now)  # a queue slot just freed
+        if nh < 0:
+            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
+        else:
+            charge, dur = True, self.dur_sr_data
+        # contention overhead: one slot per node still deferring
+        dur += self.cfg.contention_slot * len(self.defer_q)
         sr_tx = self.sr_tx
         receivable = None
         if nh < 0:  # a beacon is delivered where a decode-range view is clear
@@ -637,44 +653,66 @@ class Simulator:
         # that an earlier start here made busy again stays deferred.
         cleared.sort()
         for _, j in cleared:
-            if not (rx_count[j] or uncharged_count[j]):
-                self._try_start_sr(j)
+            self._try_start_sr_per_node(j)
         if self.sr_queues[sender]:
-            self._try_start_sr(sender)
+            self._try_start_sr_per_node(sender)
         self._sr_received(sender, nh, payload, receivable)
 
     # --- short-range medium: complete-medium path -------------------------------
 
     def _try_start_sr_complete(self, node: int) -> None:
-        """As _try_start_sr_per_node, with one frame on the air at a time."""
+        """Start a node's first queued frame if the medium is idle, else defer
+        the node; the sender of the frame on the air retries at its end.
+        Only a node whose queue was empty calls this, so it is not waiting."""
         air = self.air
-        if air is not None:
-            # every node but the sender senses the frame on the air
-            if air[0] != node:
-                self._defer(node)
-            return
-        nh, payload, charge, dur = self._pop_frame(node)
-        self.air = (node, self.now, charge)
+        if air is None:
+            self._start_sr_complete(node)
+        elif air[0] != node:  # every node but the sender senses the frame
+            self.waiting[node] = self.now
+            insort(self.defer_q, (self.now, node))
+
+    def _start_sr_complete(self, node: int) -> None:
+        """Put the head of a node's queue on the free medium, with one
+        contention slot per node still deferring."""
+        nh, payload = self.sr_queues[node].popleft()
+        now = self.now
+        src = self.sources[node]
+        if src is not None and src.blocked == "SR":
+            self._unblock(src, now)  # a queue slot just freed
+        if nh < 0:
+            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
+        else:
+            charge, dur = True, self.dur_sr_data
+        dur += self.cfg.contention_slot * len(self.defer_q)
+        self.air = (node, now, charge)
         # no other radio is busy, so every decode-range neighbour receives;
         # _rebuild_neighbors never mutates a list it has assigned
-        self._push(self.now + dur, _K_SR_TXEND, node, (nh, payload, self.nbrs[node]))
+        self._seq += 1
+        heappush(self.heap,
+                 (now + dur, _K_SR_TXEND, node, self._seq, (nh, payload, self.nbrs[node])))
 
     def _h_sr_txend_complete(self, sender: int, frame) -> None:
         nh, payload, receivable = frame
         _, start, charged = self.air
-        self.air = None
+        now = self.now
         if charged:
-            dt = self.now - start
+            dt = now - start
             self.sr_busy += dt
             self.sr_tx_s[sender] += dt
-        # the medium is free: the node that has waited longest starts, then
-        # the sender retries (and defers if that node started)
-        if self.defer_q:
-            head = self.defer_q.pop(0)[1]
+        # the medium is free: the node that has waited longest starts, and
+        # the sender, if it has frames left, waits behind every other node
+        defer_q = self.defer_q
+        if defer_q:
+            head = defer_q.pop(0)[1]
             self.waiting[head] = None
-            self._try_start_sr_complete(head)
-        if self.sr_queues[sender]:
-            self._try_start_sr_complete(sender)
+            self._start_sr_complete(head)
+            if self.sr_queues[sender]:  # on the air until now, so not waiting
+                self.waiting[sender] = now
+                insort(defer_q, (now, sender))
+        elif self.sr_queues[sender]:
+            self._start_sr_complete(sender)
+        else:
+            self.air = None
         self._sr_received(sender, nh, payload, receivable)
 
     # --- periodic events --------------------------------------------------------
@@ -682,7 +720,7 @@ class Simulator:
     def _h_beacon_due(self, node: int) -> None:
         q = self.sr_queues[node]
         q.append((-1, self.routing[node].make_beacon(self.now)))
-        if len(q) == 1:  # as in _dispatch
+        if len(q) == 1:  # as in _h_arrival
             self._try_start_sr(node)
         self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
 
@@ -719,17 +757,19 @@ class Simulator:
 
         heap = self.heap
         duration = self.duration
+        h_arrival, h_sr_txend = self._h_arrival, self._h_sr_txend
+        h_beacon_due, h_mobility = self._h_beacon_due, self._h_mobility
         while heap and heap[0][0] < duration:
             time, kind, node, _, payload = heappop(heap)
             self.now = time
             if kind == _K_ARRIVAL:
-                self._h_arrival(node, payload)
+                h_arrival(node, payload)
             elif kind == _K_SR_TXEND:
-                self._h_sr_txend(node, payload)
+                h_sr_txend(node, payload)
             elif kind == _K_BEACON:
-                self._h_beacon_due(node)
+                h_beacon_due(node)
             else:
-                self._h_mobility()
+                h_mobility()
 
         self.now = duration
         for ledger in self.ledgers:
@@ -743,7 +783,9 @@ class Simulator:
         for src in self.sources:
             if src is not None and src.blocked is not None:
                 self._unblock(src, duration)
-        return self._collect(sr_seconds)
+        stats = self._collect(sr_seconds)
+        _check_invariants(stats)
+        return stats
 
     def _collect(self, sr_seconds: list[list[float]]) -> RunStats:
         in_flight = self.lr_in_flight
@@ -783,6 +825,28 @@ class Simulator:
             iface_seconds=iface_seconds,
             iface_energy=iface_energy,
         )
+
+
+def _check_invariants(rs: RunStats) -> None:
+    """Raise InvariantError unless every source's packets are accounted for
+    and every interface's TX + RX + IDLE seconds sum to the duration (within
+    relative 1e-9, each part at least -1e-9 of it, for float rounding)."""
+    duration = rs.duration
+    tol = 1e-9 * duration
+    for i in range(rs.n_nodes):
+        parts = (rs.delivered_pkts[i], rs.dropped_queue[i], rs.dropped_hops[i],
+                 rs.dropped_link[i], rs.in_flight[i])
+        if rs.generated[i] != sum(parts):
+            raise InvariantError(
+                f"run {rs.run_index} ({rs.mode}): node {i}: generated {rs.generated[i]} != "
+                "delivered + dropped_queue + dropped_hops + dropped_link + in_flight "
+                f"= {' + '.join(map(str, parts))}")
+        for iface, secs in rs.iface_seconds[i].items():
+            if abs(sum(secs) - duration) > tol or min(secs) < -tol:
+                name = iface.name.lower().replace("_", "-")
+                raise InvariantError(
+                    f"run {rs.run_index} ({rs.mode}): node {i}: {name} TX + RX + IDLE seconds "
+                    f"{secs[0]!r} + {secs[1]!r} + {secs[2]!r} != duration {duration!r}")
 
 
 def run(

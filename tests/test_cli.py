@@ -16,7 +16,7 @@ from cesrsim.config import Mode, load_config
 from cesrsim.output import write_trace_csv
 from cesrsim.plans import SWEEP_COLUMNS
 from cesrsim.scenario import load_scenario
-from cesrsim.simcore import run
+from cesrsim.simcore import Simulator, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,6 +146,31 @@ def test_failed_traced_run_leaves_no_trace_file(tmp_path, scenario_file, monkeyp
     assert not (out / "benchmark" / "trace_run0.csv").exists()
 
 
+def _corrupt_one_drop_count(monkeypatch):
+    """Make the first arrival of node 3 count one queue drop too many."""
+    original = Simulator._h_arrival
+
+    def h_arrival(self, node, k):
+        original(self, node, k)
+        if node == 3 and k == 0:
+            self.dropped_queue[node] += 1
+
+    monkeypatch.setattr(Simulator, "_h_arrival", h_arrival)
+
+
+def test_run_that_breaks_conservation_exits_runtime_with_one_line(
+        tmp_path, scenario_file, monkeypatch, capsys):
+    _corrupt_one_drop_count(monkeypatch)
+    cfg = _write_config(tmp_path, "duration: 1\nruns: 1\ncbr_rate: 500\n")
+    rc = main(["run", "--config", str(cfg), "--scenario", str(scenario_file),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RUNTIME
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: run 0 (cooperative): node 3: generated "), err
+    assert "dropped_queue" in err
+
+
 def test_run_seed_override_changes_results(tmp_path, scenario_file):
     cfg = _write_config(tmp_path, "duration: 2\nruns: 1\ncbr_rate: 500\n")
     outs = []
@@ -213,6 +238,16 @@ def test_sweep_and_report_round_trip(tmp_path, capsys):
     lines = dat.read_text().splitlines()
     assert lines[0] == "# axis_value gain"
     assert len(lines) == 3
+
+
+def test_sweep_reports_a_run_that_breaks_conservation_as_a_failed_point(
+        tmp_path, monkeypatch, capsys):
+    _corrupt_one_drop_count(monkeypatch)
+    rc = main(["sweep", "--plan", str(_write_plan(tmp_path)), "--out", str(tmp_path / "sw")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RUNTIME
+    assert "2 of 2 point(s) failed" in err
+    assert "run 0 (benchmark): node 3: generated " in err
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):

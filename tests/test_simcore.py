@@ -13,7 +13,7 @@ from cesrsim.mobility import MobilityParams
 from cesrsim.scenario import (
     Area, MtClass, Position, Scenario, ScenarioNode, generate_scenario, place_random,
 )
-from cesrsim.simcore import Simulator, _first_k_at_or_after, run
+from cesrsim.simcore import InvariantError, Simulator, _check_invariants, _first_k_at_or_after, run
 
 SR = InterfaceKind.SHORT_RANGE
 LR = InterfaceKind.LONG_RANGE
@@ -92,6 +92,26 @@ def test_packet_conservation_per_source():
         )
         assert rs.generated[i] == accounted
     assert sum(rs.generated) > 0
+
+
+def test_invariants_allow_rounding_but_name_what_breaks():
+    cfg = SimConfig(duration=2.0, runs=1, cbr_rate=800.0)
+    rs = run(cfg, _scenario(), 0)  # execute() has checked this run already
+    secs = rs.iface_seconds[2][SR]
+    secs[2] += 1e-12 * cfg.duration  # within the relative 1e-9 tolerance
+    _check_invariants(rs)
+    secs[2] += 1e-8 * cfg.duration
+    with pytest.raises(InvariantError, match=r"^run 0 \(cooperative\): node 2: short-range TX"):
+        _check_invariants(rs)
+    secs[2] -= 1e-8 * cfg.duration
+    # a part below -1e-9 of the duration fails even when the sum holds
+    secs[0], secs[1] = -2e-9 * cfg.duration, secs[0] + secs[1] + 2e-9 * cfg.duration
+    with pytest.raises(InvariantError, match="node 2: short-range"):
+        _check_invariants(rs)
+    rs = run(cfg, _scenario(), 0)
+    rs.in_flight[5] += 1
+    with pytest.raises(InvariantError, match=r"^run 0 \(cooperative\): node 5: generated "):
+        _check_invariants(rs)
 
 
 def test_generated_matches_cbr_schedule():

@@ -1,0 +1,236 @@
+"""Mutation yardstick: each named source mutation must fail its tests.
+
+    python3 tools/mutants.py             # every mutant
+    python3 tools/mutants.py NAME ...    # only these
+
+A mutant is one exact `old -> new` text replacement in one file under
+`src/cesrsim`, with the tests expected to kill it.  For each mutant the tool
+copies `src/`, `tests/`, `bench/`, `plans/` and `pyproject.toml` of the
+checkout it sits in to a temporary directory, applies the replacement there
+and runs `python3 -m pytest -x -q --hypothesis-seed=0` on those tests.  The
+mutant is killed when pytest reports a failure (exit code 1).  A mutant
+recorded as equivalent must survive; its reason says why no test can kill
+it.  One line per mutant is printed, and the exit code is 1 if any mutant
+survives, an equivalent one is killed, an old text no longer occurs exactly
+once, or pytest ends with any other exit code (a collection or usage error).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "plans", "pyproject.toml")
+
+PROPERTY = "tests/test_simcore.py::test_batched_drop_fast_path_matches_exact_per_packet_loop"
+CONSERVATION = "tests/test_simcore.py::test_packet_conservation_per_source"
+RNG = "tests/test_rng.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    equivalent: str | None = None  # why no test can kill it
+
+
+SIMCORE = "src/cesrsim/simcore.py"
+
+MUTANTS = (
+    # --- the short-range MAC and the wake of a blocked source
+    Mutant(
+        "pushed-wake-reused-for-any-time", SIMCORE,
+        "if t == src.pushed_t and src.pushed_wake >= k:",
+        "if src.pushed_wake >= k:",
+        (PROPERTY,),
+    ),
+    Mutant(
+        "hand-over-slots-counted-with-head-queued", SIMCORE,
+        """            head = defer_q.pop(0)[1]
+            self.waiting[head] = None
+            self._start_sr_complete(head)
+""",
+        """            head = defer_q[0][1]
+            self.waiting[head] = None
+            self._start_sr_complete(head)
+            defer_q.pop(0)
+""",
+        (PROPERTY,),
+    ),
+    Mutant(
+        "complete-start-without-unblock", SIMCORE,
+        """            self._unblock(src, now)  # a queue slot just freed
+        if nh < 0:
+            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
+        else:
+            charge, dur = True, self.dur_sr_data
+        dur +=""",
+        """            pass
+        if nh < 0:
+            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
+        else:
+            charge, dur = True, self.dur_sr_data
+        dur +=""",
+        (PROPERTY,),
+    ),
+    Mutant(
+        "per-node-defer-overwrites-first-wait", SIMCORE,
+        """            if waiting[node] is None:
+                waiting[node] = now""",
+        """            if True:
+                waiting[node] = now""",
+        (PROPERTY,),
+    ),
+    Mutant(
+        "no-retry-after-uncharged-frame", SIMCORE,
+        "if c == 0 and waiting[j] is not None and not rx_count[j]:",
+        "if False:",
+        (PROPERTY,),
+    ),
+    # --- the uplink booking of a source's own packet
+    Mutant(
+        "relay-taken-slot-drop-uncounted", SIMCORE,
+        """                    # relayed packets of this source took the slot that freed
+                    self.dropped_queue[node] += 1
+""",
+        """                    # relayed packets of this source took the slot that freed
+""",
+        (CONSERVATION, PROPERTY),
+    ),
+    Mutant(
+        "lr-wake-at-newest-waiting-start", SIMCORE,
+        "t = self.up_starts[node][0]",
+        "t = self.up_starts[node][-1]",
+        ("tests/test_simcore.py::test_benchmark_uplink_matches_plain_reference", PROPERTY),
+    ),
+    Mutant(
+        "relay-served-at-source-rate", SIMCORE,
+        "end = self.up_end = start + self.svc_lr[sender]",
+        "end = self.up_end = start + self.svc_lr[source]",
+        ("tests/test_acceptance.py::test_criterion_5_gain_vs_traffic",),
+    ),
+    # --- the end-of-run invariants: tests that check neither quantity
+    Mutant(
+        "sr-full-drop-uncounted", SIMCORE,
+        """                self.dropped_queue[node] += 1
+                full = "SR"
+""",
+        """                full = "SR"
+""",
+        ("tests/test_simcore.py::test_goodput_caps_at_uplink_capacity",),
+    ),
+    Mutant(
+        "ledger-skips-tx-credit", "src/cesrsim/energy.py",
+        "        self.seconds[iface][self.current_state[iface]] += now - last\n",
+        "        if self.current_state[iface] is not RadioState.TX:\n"
+        "            self.seconds[iface][self.current_state[iface]] += now - last\n",
+        ("tests/test_simcore.py::test_generated_matches_cbr_schedule",),
+    ),
+    # --- rng.py against numpy
+    Mutant(
+        "seed-no-zero-padding", "src/cesrsim/rng.py",
+        "run += [0] * (_POOL_SIZE - len(run))",
+        "pass",
+        (RNG,),
+    ),
+    Mutant(
+        "pcg-increment-even", "src/cesrsim/rng.py",
+        "self.inc = inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128",
+        "self.inc = inc = (((i_hi << 64) | i_lo) << 1) & _MASK128",
+        (RNG,),
+    ),
+    Mutant(
+        "ziggurat-tail-sign-from-r", "src/cesrsim/rng.py",
+        "return -(_R + xx) if (rabs >> 8) & 1 else _R + xx",
+        "return -(_R + xx) if r & 1 else _R + xx",
+        (RNG,),
+    ),
+    Mutant(
+        "ziggurat-wedge-bounds-swapped", "src/cesrsim/rng.py",
+        "(FI[idx - 1] - FI[idx]) * self.random() + FI[idx]",
+        "(FI[idx] - FI[idx - 1]) * self.random() + FI[idx - 1]",
+        (RNG,),
+    ),
+    # --- equivalent
+    Mutant(
+        "sr-wake-strictly-after-expiry", SIMCORE,
+        "t = self.routing[node].earliest_expiry(now)",
+        "t = math.nextafter(self.routing[node].earliest_expiry(now), math.inf)",
+        ("tests/test_simcore.py",),
+        equivalent=(
+            "best_neighbor keeps an entry live through its expiry instant, so an "
+            "arrival exactly at the expiry still meets the short-range decision "
+            "and the full queue, and is dropped either way"
+        ),
+    ),
+)
+
+
+def _copy_tree(dst: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dst / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dst / name)
+
+
+def run_mutant(m: Mutant) -> str:
+    """'killed', 'survived', 'stale' (old text not found exactly once) or
+    'error: ...' for any other pytest exit code."""
+    text = (ROOT / m.path).read_text()
+    if text.count(m.old) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(tmp)
+        (tmp / m.path).write_text(text.replace(m.old, m.new))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tmp / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *m.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exit {proc.returncode}: {' '.join(tail)}"
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] if argv else list(MUTANTS)
+    bad = 0
+    for m in chosen:
+        t0 = perf_counter()
+        result = run_mutant(m)
+        ok = result == ("survived" if m.equivalent else "killed")
+        bad += not ok
+        note = f" (equivalent: {m.equivalent})" if m.equivalent else ""
+        print(f"{m.name}: {result}{'' if ok else ' [UNEXPECTED]'}{note} "
+              f"[{perf_counter() - t0:.1f} s]", flush=True)
+    to_kill = sum(1 for m in chosen if not m.equivalent)
+    print(f"{len(chosen) - bad} of {len(chosen)} as expected "
+          f"({to_kill} to kill, {len(chosen) - to_kill} equivalent)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
