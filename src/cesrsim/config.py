@@ -99,6 +99,12 @@ class SimConfig:
             raise ConfigError("cbr_rate must be >= 0")
         if self.cbr_rate > 0 and math.isinf(1.0 / self.cbr_rate):
             raise ConfigError(f"cbr_rate {self.cbr_rate!r} is too small: 1/cbr_rate overflows")
+        # below 2**52 arrivals, phase + k/cbr_rate grows strictly with k, so
+        # the simulator's arrival-index search is exact and ends
+        if not self.duration * self.cbr_rate < 2.0 ** 52:
+            raise ConfigError(
+                f"duration * cbr_rate must be below 2**52 arrivals per source, "
+                f"got {self.duration * self.cbr_rate!r}")
         if self.beacon_period <= 0:
             raise ConfigError("beacon_period must be > 0")
         if self.tx_range <= 0:

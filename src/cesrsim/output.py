@@ -5,9 +5,12 @@ produce byte-identical files.  Every file goes through csv.writer except the
 per-packet trace, the one large file, whose lines are formatted directly.
 Those are the lines csv would write: no trace field (an int, "SR"/"LR", ""
 or a float) holds a comma, quote or line break, so csv quotes none, and csv
-writes a float as str(x), which equals repr(x).  The trace can also be
-written in chunks while a run makes it: the first call writes the header,
-each later one appends its rows, and the file has the same bytes.
+writes a float as str(x), which equals repr(x).  A trace row is (time,
+tail): ``trace_tail`` formats the text after the time, which the simulator
+keeps per node and formats again only when the node's next hop or eq1 cost
+changed, so each distinct tail is formatted once per change.  The trace can
+also be written in chunks while a run makes it: the first call writes the
+header, each later one appends its rows, and the file has the same bytes.
 """
 
 from __future__ import annotations
@@ -72,28 +75,28 @@ def write_ledger_csv(rs: RunStats, profiles, path) -> None:
     write_rows(path, LEDGER_COLUMNS, rows)
 
 
-def write_trace_csv(rows, path, header: bool = True) -> None:
-    """Header plus one line per (time, node, decision, next_hop, eq1, lr_cost) row;
-    with header=False, append the rows to the file and write no header.
+def trace_tail(node: int, next_hop: int | None, eq1: float, lr_cost: float) -> str:
+    """The trace line of a routing decision after its time: node, SR with
+    the next hop or LR with an empty one, eq1 and lr_cost, and the newline."""
+    if next_hop is None:
+        return f",{node},LR,,{eq1!r},{lr_cost!r}\n"
+    return f",{node},SR,{next_hop},{eq1!r},{lr_cost!r}\n"
 
-    Writes the bytes write_rows would (see the module docstring), streamed
-    a line at a time so no copy of the file is held in memory.  The text
-    after the time is formatted once per distinct row[1:], since lr_cost is
-    fixed per node and eq1 changes only when a beacon arrives.  Rows are
-    tuples.  Tails that compare equal print alike: the only equal floats
-    that print differently are 0.0 and -0.0, and costs are positive.
+
+def write_trace_csv(rows, path, header: bool = True) -> None:
+    """Header plus one line per (time, tail) row, tail from trace_tail; with
+    header=False, append the rows to the file and write no header.
+
+    Writes the bytes write_rows would write for the rows' fields (see the
+    module docstring), streamed a line at a time so no copy of the file is
+    held in memory.
     """
-    tails = {}
     with open(path, "w" if header else "a", encoding="ascii", newline="") as fh:
         write = fh.write
         if header:
             write(",".join(TRACE_COLUMNS) + "\n")
-        for row in rows:
-            tail = tails.get(row[1:])
-            if tail is None:
-                _, node, decision, next_hop, eq1, lr_cost = row
-                tail = tails[row[1:]] = f",{node},{decision},{next_hop},{eq1!r},{lr_cost!r}\n"
-            write(repr(row[0]) + tail)
+        for time, tail in rows:
+            write(repr(time) + tail)
 
 
 def write_mobility_trace_csv(rows, path) -> None:

@@ -93,7 +93,9 @@ a long-range one on the uplink itself (dropping it if relayed packets of the
 source took the slot that freed), and blocks again with the next wake
 pushed.  A traced run takes the same path: it writes the decision's row
 first and never blocks.  A relay writes the same row, then queues the packet
-with ``_enqueue_sr`` or books it with ``_uplink``.
+with ``_enqueue_sr`` or books it with ``_uplink``.  A row is (time, tail),
+the tail being the rest of its CSV line (``output.trace_tail``), which each
+node formats again only when its next hop or eq1 cost changed.
 
 At the end of every run ``_check_invariants`` checks per source that
 generated = delivered + dropped (queue, hops, link) + in flight, and per
@@ -230,6 +232,13 @@ class Simulator:
         # batched-drop fast path is disabled and every arrival is an event.
         self.trace = trace
         self.mobility_trace = mobility_trace
+        if trace is not None:
+            # imported here: output imports this module
+            from .output import trace_tail
+            self._trace_tail = trace_tail
+            # per node: (next hop, eq1, tail) of its last row; nan never
+            # equals eq1, so a node's first row formats its tail
+            self._trace_tails = [(None, math.nan, "")] * scenario.n_nodes
 
         n = scenario.n_nodes
         self.n = n
@@ -452,7 +461,11 @@ class Simulator:
                 # first_k(t, lo) = max(lo, first_k(t, 0)): the wake is the same
                 src.wake = src.pushed_wake
                 return
-            k = _first_k_at_or_after(src.phase, src.period, t, k)
+            # each arrival from t >= duration on is at or after the end and
+            # never pushed, so total_k stands for the first; the search would
+            # overflow or spin on a t far past the last arrival
+            k = (src.total_k if t >= self.duration
+                 else _first_k_at_or_after(src.phase, src.period, t, k))
             if k == src.pushed_wake:
                 src.wake = k
                 return
@@ -466,11 +479,17 @@ class Simulator:
     # --- forwarding ---------------------------------------------------------
 
     def _trace_row(self, node: int, nh: int | None) -> None:
-        """Write the --trace row of the routing decision `nh` at `node`."""
+        """Append the --trace row (time, tail) of the routing decision `nh`
+        at `node`.  The tail is formatted again only when the node's next
+        hop or eq1 changed: lr_cost is fixed per node, and equal positive
+        floats print alike."""
         now = self.now
         eq1 = self.routing[node].best_neighbor(now)[1] if self.coop else math.inf
-        self.trace.append((now, node, "SR" if nh is not None else "LR",
-                           nh if nh is not None else "", eq1, self.lr_cost[node]))
+        last = self._trace_tails[node]
+        if last[1] != eq1 or last[0] != nh:
+            last = self._trace_tails[node] = (
+                nh, eq1, self._trace_tail(node, nh, eq1, self.lr_cost[node]))
+        self.trace.append((now, last[2]))
 
     def _enqueue_sr(self, node: int, nh: int, pkt: tuple[int, int]) -> None:
         """Queue a (source, hops) packet at `node` for next hop `nh`, one hop

@@ -13,7 +13,7 @@ import yaml
 import cesrsim.cli
 from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, TRACE_CHUNK_ROWS, main
 from cesrsim.config import Mode, load_config
-from cesrsim.output import write_trace_csv
+from cesrsim.output import trace_tail, write_trace_csv
 from cesrsim.plans import SWEEP_COLUMNS
 from cesrsim.scenario import load_scenario
 from cesrsim.simcore import Simulator, run
@@ -133,7 +133,7 @@ def test_traced_run_memory_does_not_grow_with_its_length(tmp_path, scenario_file
 def test_failed_traced_run_leaves_no_trace_file(tmp_path, scenario_file, monkeypatch, capsys):
     def failing_run(cfg, scenario, run_index, trace=None, mobility_trace=None):
         for k in range(5000):  # more than one chunk, so part of the file is written
-            trace.append((k * 1e-3, 0, "LR", "", float("inf"), 1.0))
+            trace.append((k * 1e-3, trace_tail(0, None, float("inf"), 1.0)))
         raise ValueError("simulated failure")
 
     monkeypatch.setattr(cesrsim.cli, "run", failing_run)
@@ -353,6 +353,8 @@ def _dump(base, overrides):
     ("scenario", b"\xff\n"),
     ("report", b"\xff\n"),
     ("run", {"cbr_rate": 1.0e-320}),  # 1/cbr_rate overflows
+    ("run", {"duration": 1e308, "cbr_rate": 1e308}),  # arrival count overflows
+    ("sweep", {"config": {"duration": 1e308, "runs": 1, "cbr_rate": 0}, "values": [1e308]}),
 ])
 def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
                                                command, overrides):

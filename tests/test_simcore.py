@@ -1,3 +1,4 @@
+import signal
 from collections import deque
 from dataclasses import asdict, replace
 from heapq import heapify, heappop, heappush
@@ -486,12 +487,45 @@ def test_trace_rows_cover_every_routed_packet():
     # one row per routing decision: one per packet generated or relayed
     assert sum(rs.relayed) > 0
     assert len(trace) == sum(rs.generated) + sum(rs.relayed)
-    for row in trace:
-        time, node, decision, next_hop, eq1, lr = row
+    for time, tail in trace:
+        # the tail is the rest of the CSV line: ",node,decision,next_hop,eq1,lr\n"
+        empty, node, decision, next_hop, eq1, lr = tail.split(",")
+        assert empty == "" and lr.endswith("\n")
         assert decision in ("SR", "LR")
         assert 0.0 <= time < 1.0
         if decision == "SR":
-            assert isinstance(next_hop, int)
+            assert next_hop.isdigit()
+        else:
+            assert next_hop == ""
+
+
+def _execute_within(sim, seconds):
+    """sim.execute(), failing with TimeoutError if it runs longer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"run still going after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return sim.execute()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mode, overrides", [
+    # a short-range block until an expiry at 1e308 s
+    (Mode.COOPERATIVE, {"table_timeout": 1e308}),
+    # a long-range block until a start far past 2**53 arrival periods
+    (Mode.BENCHMARK, {"packet_size": 10**29}),
+    (Mode.COOPERATIVE, {"packet_size": 10**29}),
+], ids=["sr-expiry", "lr-start-benchmark", "lr-start-cooperative"])
+def test_block_that_cannot_end_before_the_run_does_finishes(mode, overrides):
+    cfg = SimConfig(duration=2.0, runs=1, cbr_rate=3000.0, beacon_period=0.2, mode=mode,
+                    **overrides)
+    rs = _execute_within(Simulator(cfg, _scenario(n=6, ca=2, seed=3), 0), 10.0)
+    _check_invariants(rs)
+    assert sum(rs.dropped_queue) > 0  # the sources blocked
 
 
 def test_mobility_trace_positions_stay_in_area():

@@ -32,6 +32,7 @@ COPIED = ("src", "tests", "bench", "plans", "pyproject.toml")
 PROPERTY = "tests/test_simcore.py::test_batched_drop_fast_path_matches_exact_per_packet_loop"
 CONSERVATION = "tests/test_simcore.py::test_packet_conservation_per_source"
 RNG = "tests/test_rng.py"
+TRACE_ORACLE = "tests/test_output.py::test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows"
 
 
 class Mutant(NamedTuple):
@@ -96,6 +97,12 @@ MUTANTS = (
         "if False:",
         (PROPERTY,),
     ),
+    Mutant(
+        "wake-searched-past-the-end", SIMCORE,
+        "k = (src.total_k if t >= self.duration",
+        "k = (src.total_k if False",
+        ("tests/test_simcore.py::test_block_that_cannot_end_before_the_run_does_finishes",),
+    ),
     # --- the uplink booking of a source's own packet
     Mutant(
         "relay-taken-slot-drop-uncounted", SIMCORE,
@@ -117,6 +124,29 @@ MUTANTS = (
         "end = self.up_end = start + self.svc_lr[sender]",
         "end = self.up_end = start + self.svc_lr[source]",
         ("tests/test_acceptance.py::test_criterion_5_gain_vs_traffic",),
+    ),
+    # --- the per-node trace tail cache, against rows from the routing state
+    Mutant(
+        "trace-tail-ignores-eq1-change", SIMCORE,
+        "if last[1] != eq1 or last[0] != nh:",
+        "if not last[2] or last[0] != nh:",
+        (TRACE_ORACLE,),
+    ),
+    Mutant(
+        "trace-tail-ignores-next-hop-change", SIMCORE,
+        "if last[1] != eq1 or last[0] != nh:",
+        "if last[1] != eq1:",
+        (TRACE_ORACLE,),
+    ),
+    Mutant(
+        "trace-tail-shared-across-nodes", SIMCORE,
+        """        last = self._trace_tails[node]
+        if last[1] != eq1 or last[0] != nh:
+            last = self._trace_tails[node] = (""",
+        """        last = self._trace_tails[0]
+        if last[1] != eq1 or last[0] != nh:
+            last = self._trace_tails[0] = (""",
+        (TRACE_ORACLE,),
     ),
     # --- the end-of-run invariants: tests that check neither quantity
     Mutant(

@@ -8,14 +8,17 @@ change to the simulator keeps its results.
 3 scenarios x cs_range_factor 6 and 1.5 x 50 and 3000 pkt/s x mobility off
 and at 3 m/s x both modes x queue caps 50 and 1 x seeds 1-2 x beacon periods
 1 and 0.2 s x trace off and on, 2 s each.  It writes one JSON line per run:
-its grid key, `dataclasses.asdict(RunStats)`, the row count and sha256 of
-its trace rows, and its heap-push count (`Simulator._seq`).  To compare two
-versions, copy this file into both checkouts, dump in each, then `compare`
-the two files.  `compare` prints how many runs are equal, the worst relative
-float difference and the first differing field, and exits 1 unless every
-run is equal.  It also prints both heap-push totals and the range of the
-per-run change, which is not part of the verdict: a change may push fewer
-events for the same results.
+its grid key, `dataclasses.asdict(RunStats)`, the row count of its trace and
+the sha256 of the trace CSV that the checkout's own `write_trace_csv` writes
+for the run (of no bytes for an untraced run), and its heap-push count
+(`Simulator._seq`).  Hashing the written file, not the row objects, lets
+two versions whose trace rows differ in shape but write the same file
+compare equal.  To compare two versions, copy this file into both
+checkouts, dump in each, then `compare` the two files.  `compare` prints
+how many runs are equal, the worst relative float difference and the first
+differing field, and exits 1 unless every run is equal.  It also prints
+both heap-push totals and the range of the per-run change, which is not
+part of the verdict: a change may push fewer events for the same results.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import itertools
 import json
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cesrsim.config import Mode, SimConfig  # noqa: E402
 from cesrsim.mobility import MobilityParams  # noqa: E402
+from cesrsim.output import write_trace_csv  # noqa: E402
 from cesrsim.scenario import Area, generate_scenario  # noqa: E402
 from cesrsim.simcore import Simulator  # noqa: E402
 
@@ -60,6 +65,16 @@ def grid():
         yield dict(zip(AXES, values))
 
 
+def _trace_sha256(trace: list | None) -> str:
+    """sha256 of the trace CSV write_trace_csv writes for these rows."""
+    if trace is None:
+        return hashlib.sha256(b"").hexdigest()
+    with tempfile.TemporaryDirectory(prefix="runstats-grid-") as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def run_point(p: dict) -> dict:
     area, n, n_a = SCENARIOS[p["scenario"]]
     sc = generate_scenario(area, n, n_a, 20.0, seed=p["seed"])
@@ -74,12 +89,11 @@ def run_point(p: dict) -> dict:
     trace = [] if p["trace"] else None
     sim = Simulator(cfg, sc, 0, trace=trace)
     rs = sim.execute()
-    rows = "\n".join(map(repr, trace or []))
     return {
         "key": json.dumps(p, sort_keys=True),
         "stats": asdict(rs),
         "trace_rows": len(trace or []),
-        "trace_sha256": hashlib.sha256(rows.encode()).hexdigest(),
+        "trace_sha256": _trace_sha256(trace),
         "pushes": sim._seq,
     }
 
@@ -128,7 +142,7 @@ def compare(path_a: str, path_b: str) -> int:
         worst = max([worst, *(d for _, d in diffs if d is not None)])
         if first is None:
             first = f"{key}: {diffs[0][0]}"
-    print(f"{equal} of {len(a)} runs equal (RunStats and trace rows)")
+    print(f"{equal} of {len(a)} runs equal (RunStats and trace files)")
     print(f"worst relative float difference: {worst!r}")
     if first is not None:
         print(f"first difference: {first}")
