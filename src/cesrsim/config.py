@@ -91,10 +91,15 @@ class SimConfig:
             raise ConfigError("duration must be > 0")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.packet_size <= 0:
-            raise ConfigError("packet_size must be > 0")
-        if self.beacon_size <= 0:
-            raise ConfigError("beacon_size must be > 0")
+        for name in ("packet_size", "beacon_size"):
+            size = getattr(self, name)
+            if size <= 0:
+                raise ConfigError(f"{name} must be > 0")
+            try:
+                size * 8 / 1e6  # the simulator carries sizes in megabits as floats
+            except OverflowError:
+                raise ConfigError(
+                    f"{name} is too large: {name} * 8 / 1e6 megabits overflows a float") from None
         if self.cbr_rate < 0:
             raise ConfigError("cbr_rate must be >= 0")
         if self.cbr_rate > 0 and math.isinf(1.0 / self.cbr_rate):

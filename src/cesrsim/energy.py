@@ -5,9 +5,10 @@ sleep state), and its energy is the sum of state power times state seconds.
 A ledger credits time to the state an interface was in since its last
 transition; the simulator keeps one per node for the long-range radio only,
 and short-range seconds in flat accumulators.  It books each long-range
-packet when the uplink accepts it, so transitions may lie ahead of the
-simulation clock; they only have to come in time order.  Routing costs are
-the TX power divided by the achievable data rate, carried in J/Mb.
+packet when the uplink accepts it, as one TX interval [start, end) after
+which the radio is IDLE, so bookings may lie ahead of the simulation clock;
+they only have to come in time order.  Routing costs are the TX power
+divided by the achievable data rate, carried in J/Mb.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ class RadioState(IntEnum):
     TX = 0
     RX = 1
     IDLE = 2
+
+
+# plain list indices of the ledger's TX and IDLE seconds
+_TX = int(RadioState.TX)
+_IDLE = int(RadioState.IDLE)
 
 
 @dataclass(frozen=True)
@@ -77,18 +83,20 @@ class EnergyLedger:
     """Time-in-state accounting for one node's radio interfaces.
 
     Only the interfaces passed at construction exist in the ledger.  All
-    of them start in IDLE at time 0.
+    of them start in IDLE at time 0.  ``seconds[iface]`` is the interface's
+    [TX, RX, IDLE] list.
     """
 
-    __slots__ = ("interfaces", "seconds", "current_state", "last_transition")
+    __slots__ = ("interfaces", "seconds", "_records")
 
     def __init__(self, interfaces: tuple[InterfaceKind, ...]):
         self.interfaces = tuple(interfaces)
+        # one [seconds, current state, last transition] record per interface,
+        # so a booking looks the interface up once
+        self._records = {iface: [[0.0, 0.0, 0.0], _IDLE, 0.0] for iface in self.interfaces}
         self.seconds: dict[InterfaceKind, list[float]] = {
-            iface: [0.0, 0.0, 0.0] for iface in self.interfaces
+            iface: rec[0] for iface, rec in self._records.items()
         }
-        self.current_state = dict.fromkeys(self.interfaces, RadioState.IDLE)
-        self.last_transition = dict.fromkeys(self.interfaces, 0.0)
 
     def transition_state(self, iface: InterfaceKind, new_state: RadioState, now: float) -> None:
         """Credit elapsed time to the previous state, then switch.
@@ -96,14 +104,29 @@ class EnergyLedger:
         A transition to the current state is a no-op switch but still credits
         the elapsed time.
         """
-        last = self.last_transition[iface]
+        rec = self._records[iface]
+        seconds, state, last = rec
         if now < last:
             raise TimeRegressionError(f"transition at {now} before last transition at {last}")
-        self.seconds[iface][self.current_state[iface]] += now - last
-        self.last_transition[iface] = now
-        self.current_state[iface] = new_state
+        seconds[state] += now - last
+        rec[1] = new_state
+        rec[2] = now
+
+    def book(self, iface: InterfaceKind, start: float, end: float) -> None:
+        """Credit the current state up to ``start`` and TX over [start, end),
+        leaving the interface IDLE at ``end``: the same seconds, bit for bit,
+        as a transition to TX at ``start`` and one to IDLE at ``end``."""
+        rec = self._records[iface]
+        seconds, state, last = rec
+        if start < last or end < start:
+            raise TimeRegressionError(
+                f"booking [{start}, {end}) before last transition at {last} or ending before it starts")
+        seconds[state] += start - last
+        seconds[_TX] += end - start
+        rec[1] = _IDLE
+        rec[2] = end
 
     def close(self, now: float) -> None:
         """Credit all remaining time up to ``now``; the run is over."""
         for iface in self.interfaces:
-            self.transition_state(iface, self.current_state[iface], now)
+            self.transition_state(iface, self._records[iface][1], now)

@@ -10,9 +10,10 @@ a shared long-range uplink over [0, duration) seconds:
   per-connection uplink grants); arrivals beyond a source's quota are
   dropped and counted against that source.  The server is FIFO with fixed
   service times, so a packet is booked in full on acceptance: it starts now
-  or when the last accepted packet ends, its sender's ledger gets TX and
-  IDLE at those future times, and it is delivered if it ends before the run
-  does.  No event marks a completion.
+  or when the last accepted packet ends, its sender's ledger books that
+  future interval as TX (up to the end of the run, if the packet is still on
+  the air then), and it is delivered if it ends before the run does.  No
+  event marks a completion.
 
 * Short-range MAC abstraction: protocol-model interference with a sensing
   range larger than the delivery range (cs_range_factor * tx_range, like a
@@ -113,7 +114,7 @@ from heapq import heappop, heappush
 
 from . import mobility as mob
 from .config import Mode, SimConfig
-from .energy import EnergyLedger, InterfaceKind, RadioState, energy_per_bit, interface_energy
+from .energy import EnergyLedger, InterfaceKind, energy_per_bit, interface_energy
 from .routing import NodeRoutingState
 from .scenario import MtClass, Scenario, connectivity_graph
 
@@ -125,8 +126,6 @@ _K_ARRIVAL = 3
 
 _SR = InterfaceKind.SHORT_RANGE
 _LR = InterfaceKind.LONG_RANGE
-_TX = RadioState.TX
-_IDLE = RadioState.IDLE
 
 
 class _Source:
@@ -435,14 +434,13 @@ class Simulator:
                 start = now
             if start is not None:
                 end = self.up_end = start + self.svc_lr[node]
-                ledger = self.ledgers[node]
-                if start < self.duration:
-                    ledger.transition_state(_LR, _TX, start)
                 if end < self.duration:
-                    ledger.transition_state(_LR, _IDLE, end)
+                    self.ledgers[node].book(_LR, start, end)
                     self.delivered_pkts[node] += 1
                     self.delivered_mb[node] += self.pkt_mb  # 0 hops: hops_sum keeps
                 else:
+                    if start < self.duration:  # on the air at the end: TX up to it
+                        self.ledgers[node].book(_LR, start, self.duration)
                     self.lr_in_flight[node] += 1
         k += 1
         if full is not None and self.trace is None:  # a traced run never blocks
@@ -520,17 +518,16 @@ class Simulator:
             starts.append(start)
         else:
             start = self.now
-        # FIFO, so the sender's ledger gets its transitions in time order
+        # FIFO, so the sender's ledger gets its bookings in time order
         end = self.up_end = start + self.svc_lr[sender]
-        ledger = self.ledgers[sender]
-        if start < self.duration:
-            ledger.transition_state(_LR, _TX, start)
         if end < self.duration:
-            ledger.transition_state(_LR, _IDLE, end)
+            self.ledgers[sender].book(_LR, start, end)
             self.delivered_pkts[source] += 1
             self.delivered_mb[source] += self.pkt_mb
             self.hops_sum[source] += hops
         else:
+            if start < self.duration:  # as in _h_arrival
+                self.ledgers[sender].book(_LR, start, self.duration)
             self.lr_in_flight[source] += 1
 
     # --- short-range medium: both paths ---------------------------------------

@@ -410,6 +410,25 @@ def test_bad_input_exits_invalid_with_one_line(tmp_path, scenario_file, capsys,
         assert "line 2" in err
 
 
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", ["packet_size", "beacon_size"])
+def test_size_too_large_for_a_float_exits_invalid_naming_it(tmp_path, scenario_file, capsys,
+                                                             command, name):
+    if command == "run":
+        path = _write_config(tmp_path, _dump(_CONFIG, {name: 10 ** 400}))
+        argv = ["run", "--config", str(path), "--scenario", str(scenario_file)]
+    else:
+        plan = {**_PLAN, "config": {**_PLAN["config"], name: 10 ** 400}}
+        path = _write_config(tmp_path, yaml.safe_dump(plan), "plan.yaml")
+        argv = ["sweep", "--plan", str(path)]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err
+
 def test_run_without_traffic_fails_before_aggregate_csv(tmp_path, scenario_file, capsys):
     cfg = _write_config(tmp_path, "duration: 1\nruns: 1\ncbr_rate: 0\n")
     out = tmp_path / "out"

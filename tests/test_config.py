@@ -58,6 +58,14 @@ def test_cbr_rate_whose_period_overflows_is_rejected():
     assert SimConfig(cbr_rate=1.0e-300).cbr_rate == 1.0e-300
 
 
+@pytest.mark.parametrize("name", ["packet_size", "beacon_size"])
+def test_size_whose_megabits_overflow_is_rejected(name):
+    # size * 8 / 1e6 cannot convert 8e400 to a float
+    with pytest.raises(ConfigError, match=name):
+        SimConfig(**{name: 10 ** 400})
+    assert getattr(SimConfig(**{name: 10 ** 300}), name) == 10 ** 300
+
+
 def test_parse_config_minimal_and_modes():
     cfg, both = parse_config({})
     assert cfg.mode is Mode.COOPERATIVE and not both

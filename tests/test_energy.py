@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cesrsim.energy import (
@@ -95,6 +95,48 @@ def test_ledger_time_conservation_and_homogeneity(times, states, scale):
     e2 = interface_energy(led.seconds[SR], scaled)
     assert e2 == pytest.approx(scale * e1, rel=1e-12)
 
+
+
+_GAP = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gaps=st.lists(st.tuples(_GAP, _GAP), min_size=1, max_size=30),
+    clip=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+)
+def test_book_holds_the_seconds_of_the_transition_pair(gaps, clip):
+    # increasing [start, end) intervals from (gap, length) pairs, where a zero
+    # gap books back to back and a zero length is empty; with `clip`, the run
+    # closes at that fraction of the last interval, as the simulator books a
+    # packet still on the air at the end
+    intervals, t = [], 0.0
+    for gap, length in gaps:
+        start = t + gap
+        t = start + length
+        intervals.append((start, t))
+    last_start, last_end = intervals[-1]
+    if clip is None:
+        closing = last_end + 1.0
+    else:
+        closing = min(last_start + clip * (last_end - last_start), last_end)
+        assume(last_start < closing)
+    booked, pairs = EnergyLedger((LR,)), EnergyLedger((LR,))
+    for start, end in intervals:
+        pairs.transition_state(LR, RadioState.TX, start)
+        if end < closing:
+            pairs.transition_state(LR, RadioState.IDLE, end)
+        booked.book(LR, start, min(end, closing))
+    pairs.close(closing)
+    booked.close(closing)
+    assert booked.seconds == pairs.seconds
+    # a booking before the last transition, or one that ends before it starts
+    before = list(booked.seconds[LR])
+    with pytest.raises(TimeRegressionError):
+        booked.book(LR, closing - 1.0, closing + 1.0)
+    with pytest.raises(TimeRegressionError):
+        booked.book(LR, closing + 1.0, closing + 0.5)
+    assert booked.seconds[LR] == before
 
 def test_power_profile_rejects_negative():
     with pytest.raises(ValueError):

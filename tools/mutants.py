@@ -160,10 +160,15 @@ MUTANTS = (
     ),
     Mutant(
         "ledger-skips-tx-credit", "src/cesrsim/energy.py",
-        "        self.seconds[iface][self.current_state[iface]] += now - last\n",
-        "        if self.current_state[iface] is not RadioState.TX:\n"
-        "            self.seconds[iface][self.current_state[iface]] += now - last\n",
+        "        seconds[_TX] += end - start\n",
+        "",
         ("tests/test_simcore.py::test_generated_matches_cbr_schedule",),
+    ),
+    Mutant(
+        "uplink-books-unclipped-end", SIMCORE,
+        "self.ledgers[node].book(_LR, start, self.duration)",
+        "self.ledgers[node].book(_LR, start, end)",
+        ("tests/test_simcore.py::test_goodput_caps_at_uplink_capacity",),
     ),
     # --- rng.py against numpy
     Mutant(
