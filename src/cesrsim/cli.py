@@ -21,6 +21,7 @@ from pathlib import Path
 from .config import ConfigError, Mode, SimConfig, load_config
 from .metrics import ZeroDeliveryError, energy_efficiency, gain
 from .output import (
+    TRACE_CHUNK_ROWS,
     ensure_dir,
     write_aggregate_csv,
     write_ledger_csv,
@@ -44,15 +45,14 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 
-# Trace rows a run holds before they are written: about 0.5 MB.
-TRACE_CHUNK_ROWS = 4096
-
 
 class _ChunkedTrace(list):
     """The trace list of one run that writes its rows to the run's CSV
     through write_trace_csv every TRACE_CHUNK_ROWS rows and then clears
     itself, so a traced run's memory does not grow with its length.  The
-    first write makes the file; flush() writes the rows left at the end."""
+    first write makes the file; flush() writes the rows left at the end.
+    extend() writes the rows it is given at once, with any held before
+    them: a benchmark run hands over its rows in sorted windows."""
 
     def __init__(self, path: Path):
         super().__init__()
@@ -63,6 +63,10 @@ class _ChunkedTrace(list):
         list.append(self, row)
         if len(self) == TRACE_CHUNK_ROWS:
             self.flush()
+
+    def extend(self, rows) -> None:
+        list.extend(self, rows)
+        self.flush()
 
     def flush(self) -> None:
         write_trace_csv(self, self.path, header=not self.started)
@@ -92,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--trace", action="store_true",
-                   help="per-packet routing decision trace (disables drop batching)")
+                   help="per-packet routing decision trace (disables drop batching "
+                        "in cooperative runs; a benchmark trace is its arrival schedule)")
     p.add_argument("--mobility-trace", action="store_true",
                    help="node positions at every mobility update")
 

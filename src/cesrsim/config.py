@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -112,6 +113,14 @@ class SimConfig:
                 f"got {self.duration * self.cbr_rate!r}")
         if self.beacon_period <= 0:
             raise ConfigError("beacon_period must be > 0")
+        # likewise below 2**52 steps t + period > t, so periodic events reach the end
+        periods = {"beacon_period": self.beacon_period}
+        if self.mobility is not None:
+            periods["mobility update_interval"] = self.mobility.update_interval
+        for name, period in periods.items():
+            if not self.duration / period < 2.0 ** 52:
+                raise ConfigError(f"duration / {name} must be below 2**52 steps, "
+                                  f"got {self.duration / period!r}")
         if self.tx_range <= 0:
             raise ConfigError("tx_range must be > 0")
         if self.cs_range_factor < 1.0:
@@ -177,7 +186,16 @@ def parse_config(data: dict) -> tuple[SimConfig, bool]:
 
 
 class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a key repeated within one mapping."""
+    """SafeLoader that rejects a key repeated within one mapping and an
+    integer with more digits than Python converts."""
+
+    def construct_int(self, node):
+        try:
+            return self.construct_yaml_int(node)
+        except ValueError:
+            mark = node.start_mark
+            raise ConfigError(f"{mark.name}: integer on line {mark.line + 1} has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -191,6 +209,9 @@ class _StrictLoader(yaml.SafeLoader):
                 seen.add(key)
         return super().construct_mapping(node, deep=deep)
 
+
+# add_constructor copies the inherited table, so SafeLoader keeps its own
+_StrictLoader.add_constructor("tag:yaml.org,2002:int", _StrictLoader.construct_int)
 
 # PyYAML follows YAML 1.1, whose floats need a decimal point and a signed
 # exponent, so it reads 9e-6 or 1.0e3 as strings.  YAML 1.2's float form is

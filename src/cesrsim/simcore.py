@@ -83,25 +83,39 @@ frame.  Every arrival would then be dropped identically until one of these:
 The unblock or the wake arrival counts the drops since the block
 arithmetically and resumes per-packet arrivals.  An early or spurious
 unblock or wake only resumes the per-packet loop.  Results are identical to
-the per-packet loop without blocking, which is what --trace uses.  A source
-has one live arrival, its wake, which is next_k while unblocked; an unblock
-can come before the wake fires, so others are stale.
+the per-packet loop without blocking, which is what a cooperative --trace
+uses.  A source has one live arrival, its wake, which is next_k while
+unblocked; an unblock can come before the wake fires, so others are stale.
 
 On a saturated long-range source most events are a wake that is accepted
 and blocks again at once, so ``_h_arrival`` handles a source's own packet in
 one call: it counts the batched drops, queues a short-range packet or books
 a long-range one on the uplink itself (dropping it if relayed packets of the
 source took the slot that freed), and blocks again with the next wake
-pushed.  A traced run takes the same path: it writes the decision's row
-first and never blocks.  A relay writes the same row, then queues the packet
-with ``_enqueue_sr`` or books it with ``_uplink``.  A row is (time, tail),
-the tail being the rest of its CSV line (``output.trace_tail``), which each
-node formats again only when its next hop or eq1 cost changed.
+pushed.  A traced cooperative run takes the same path: it writes the
+decision's row first and never blocks.  A relay writes the same row, then
+queues the packet with ``_enqueue_sr`` or books it with ``_uplink``.  A row
+is (time, tail), the tail being the rest of its CSV line
+(``output.trace_tail``), which each node formats again only when its next
+hop or eq1 cost changed.
+
+Benchmark mode has no short-range traffic, routing or beacons, so
+``_run_benchmark`` runs it without the event loop: it merges the sources'
+arrivals on a heap of (time, kind, node, k) events and books each into the
+uplink by the quota, blocking and wake rules above, with no relayed packets
+to take a freed slot.  Each sender's long-range seconds are plain floats,
+summed in the order ``EnergyLedger`` sums them, so they keep their bits.  Every
+benchmark decision is LR with eq1 = inf, so a traced benchmark run blocks
+too, and its trace, one row per arrival, is written after the run from the
+arrival schedule.  Positions matter to nothing there, so mobility is stepped
+only for a mobility trace.
 
 At the end of every run ``_check_invariants`` checks per source that
-generated = delivered + dropped (queue, hops, link) + in flight, and per
-interface that TX + RX + IDLE = duration, and raises ``InvariantError``
-naming the run, the node and the quantity if either fails.
+generated = delivered + dropped (queue, hops, link) + in flight, per
+interface that TX + RX + IDLE = duration, and per sender that its long-range
+TX seconds are its packets delivered on long range times its service time,
+plus part of at most one packet on the air at the end; it raises
+``InvariantError`` naming the run, the node and the quantity if one fails.
 """
 
 from __future__ import annotations
@@ -227,8 +241,8 @@ class Simulator:
         self.scenario = scenario
         self.run_index = run_index
         self.coop = cfg.mode is Mode.COOPERATIVE
-        # --trace needs one row per packet handled, so while it is on the
-        # batched-drop fast path is disabled and every arrival is an event.
+        # --trace needs one row per routing decision, so a traced cooperative
+        # run disables the batched-drop fast path and every arrival is an event
         self.trace = trace
         self.mobility_trace = mobility_trace
         if trace is not None:
@@ -259,10 +273,9 @@ class Simulator:
         self.dur_sr_beacon = self.beacon_mb / rates.sr_rate
         self.hop_budget = cfg.resolved_hop_budget(n)
 
-        self.ledgers = [EnergyLedger((_LR,)) for _ in range(n)]
-
         self.routing: list[NodeRoutingState] | None = None
         if self.coop:
+            self.ledgers = [EnergyLedger((_LR,)) for _ in range(n)]
             sr_cost = energy_per_bit(cfg.power_profiles[_SR].tx_w, rates.sr_rate)
             self.routing = [
                 NodeRoutingState(i, lr_cost=self.lr_cost[i], sr_cost=sr_cost,
@@ -276,6 +289,7 @@ class Simulator:
         self.up_starts = [deque() for _ in range(n)]  # per source: starts of waiting packets
         self.up_cap = cfg.uplink_queue_cap_per_node
         self.lr_in_flight = [0] * n
+        self.lr_sent = [0] * n  # per sender: packets delivered on long range
 
         # short-range medium
         self.sr_queues: list[deque] = [deque() for _ in range(n)]  # (next hop, payload)
@@ -398,7 +412,7 @@ class Simulator:
         src.next_k = k + 1
         self.generated[node] += 1
         now = self.now
-        nh = self.routing[node].forward_decision(now) if self.coop else None
+        nh = self.routing[node].forward_decision(now)
         if self.trace is not None:
             self._trace_row(node, nh)
         if nh is not None:
@@ -436,6 +450,7 @@ class Simulator:
                 end = self.up_end = start + self.svc_lr[node]
                 if end < self.duration:
                     self.ledgers[node].book(_LR, start, end)
+                    self.lr_sent[node] += 1
                     self.delivered_pkts[node] += 1
                     self.delivered_mb[node] += self.pkt_mb  # 0 hops: hops_sum keeps
                 else:
@@ -482,7 +497,7 @@ class Simulator:
         hop or eq1 changed: lr_cost is fixed per node, and equal positive
         floats print alike."""
         now = self.now
-        eq1 = self.routing[node].best_neighbor(now)[1] if self.coop else math.inf
+        eq1 = self.routing[node].best_neighbor(now)[1]
         last = self._trace_tails[node]
         if last[1] != eq1 or last[0] != nh:
             last = self._trace_tails[node] = (
@@ -522,6 +537,7 @@ class Simulator:
         end = self.up_end = start + self.svc_lr[sender]
         if end < self.duration:
             self.ledgers[sender].book(_LR, start, end)
+            self.lr_sent[sender] += 1
             self.delivered_pkts[source] += 1
             self.delivered_mb[source] += self.pkt_mb
             self.hops_sum[source] += hops
@@ -748,25 +764,22 @@ class Simulator:
         self.pos = [st.position for st in self.mob_states]
         self._rebuild_neighbors()
         if self.mobility_trace is not None:
-            for i, p in enumerate(self.pos):
-                self.mobility_trace.append((self.now, i, p.x, p.y))
+            self._trace_positions(self.now)
         self._push(self.now + params.update_interval, _K_MOBILITY, 0, None)
 
     # --- run ----------------------------------------------------------------
 
     def execute(self) -> RunStats:
+        if not self.coop:
+            return self._run_benchmark()
         cfg = self.cfg
-        # positions matter only to the short-range MAC and beacons, which
-        # benchmark mode never runs, so it steps only to trace them
-        if self.mob_states is not None and (self.coop or self.mobility_trace is not None):
+        if self.mob_states is not None:
             if self.mobility_trace is not None:
-                for i, p in enumerate(self.pos):
-                    self.mobility_trace.append((0.0, i, p.x, p.y))
+                self._trace_positions(0.0)
             self._push(cfg.mobility.update_interval, _K_MOBILITY, 0, None)
-        if self.coop:
-            for i in range(self.n):
-                offset = cfg.beacon_period * self.rng_beacon.random()
-                self._push(offset, _K_BEACON, i, None)
+        for i in range(self.n):
+            offset = cfg.beacon_period * self.rng_beacon.random()
+            self._push(offset, _K_BEACON, i, None)
         for src in self.sources:
             if src is not None and src.total_k > 0:
                 self._push(src.phase, _K_ARRIVAL, src.node, 0)
@@ -791,19 +804,11 @@ class Simulator:
         for ledger in self.ledgers:
             ledger.close(duration)
         sr_seconds = self._close_sr()
-        # the bound MAC handlers refer back to this simulator; dropping them
-        # lets reference counting free it once the caller lets go
-        del self._try_start_sr, self._h_sr_txend
         # arrivals due before the end that a blocked source never emitted;
         # an unblocked source emitted all of them
         for src in self.sources:
             if src is not None and src.blocked is not None:
                 self._unblock(src, duration)
-        stats = self._collect(sr_seconds)
-        _check_invariants(stats)
-        return stats
-
-    def _collect(self, sr_seconds: list[list[float]]) -> RunStats:
         in_flight = self.lr_in_flight
         for q in self.sr_queues:
             for nh, payload in q:
@@ -811,19 +816,133 @@ class Simulator:
                     in_flight[payload[0]] += 1
         # data packets on the air at the end: every end-of-transmission event
         # still queued belongs to a transmission that started and never ended
-        for _, kind, _, _, frame in self.heap:
+        for _, kind, _, _, frame in heap:
             if kind == _K_SR_TXEND and frame[0] >= 0:
                 in_flight[frame[1][0]] += 1
+        return self._collect([{_SR: sr, _LR: ledger.seconds[_LR]}
+                              for sr, ledger in zip(sr_seconds, self.ledgers)])
+
+    def _run_benchmark(self) -> RunStats:
+        """A benchmark run, without the event loop (see the module docstring)."""
+        duration, n = self.duration, self.n
+        srcs = [src for src in self.sources if src is not None]
+        heap: list = []
+        for src in srcs:
+            if src.total_k > 0:
+                heappush(heap, (src.phase, _K_ARRIVAL, src.node, 0))
+        pushes = len(heap)
+        sources, svc_lr, cap, up_starts = self.sources, self.svc_lr, self.up_cap, self.up_starts
+        generated, dropped, delivered = self.generated, self.dropped_queue, self.delivered_pkts
+        delivered_mb, in_flight, pkt_mb = self.delivered_mb, self.lr_in_flight, self.pkt_mb
+        tx, idle, last = [0.0] * n, [0.0] * n, [0.0] * n
+        up_end = 0.0
+        while heap and heap[0][0] < duration:
+            now, _, node, k = heappop(heap)
+            src = sources[node]
+            # the arrivals since the last one the source emitted were dropped
+            batched = k - src.next_k
+            generated[node] += batched + 1
+            dropped[node] += batched
+            k += 1
+            src.next_k = k
+            start = up_end
+            full = False
+            if now < start:
+                starts = up_starts[node]
+                while starts and starts[0] <= now:
+                    starts.popleft()  # started by now, so no longer waiting
+                # a blocked source wakes at or after its oldest waiting start,
+                # so a slot is free: only relayed packets could take it
+                starts.append(start)
+                full = len(starts) >= cap
+            else:
+                start = now
+            end = up_end = start + svc_lr[node]
+            if end < duration:
+                delivered[node] += 1
+                delivered_mb[node] += pkt_mb
+            else:
+                in_flight[node] += 1
+                end = duration  # on the air at the end: TX up to it
+            if start < duration:  # book [start, end) as TX, IDLE since the last
+                idle[node] += start - last[node]
+                tx[node] += end - start
+                last[node] = end
+            if full:
+                # the next arrival would be dropped: block until the first
+                # arrival at or after the oldest waiting start, as _h_arrival
+                t = starts[0]
+                k = (src.total_k if t >= duration
+                     else _first_k_at_or_after(src.phase, src.period, t, k))
+            if k < src.total_k:
+                pushes += 1
+                heappush(heap, (src.phase + k * src.period, _K_ARRIVAL, node, k))
+        self._seq = pushes
+        for src in srcs:
+            # arrivals due before the end that a blocked source never emitted
+            batched = src.total_k - src.next_k
+            generated[src.node] += batched
+            dropped[src.node] += batched
+        if self.trace is not None:
+            self._trace_benchmark(srcs)
+        if self.mob_states is not None and self.mobility_trace is not None:
+            # at the times the cooperative event loop steps them
+            params = self.cfg.mobility
+            self._trace_positions(0.0)
+            t = params.update_interval
+            while t < duration:
+                self.mob_states = mob.advance_all(
+                    self.mob_states, params, self.scenario.area, self.rng_mob)
+                self.pos = [st.position for st in self.mob_states]
+                self._trace_positions(t)
+                t = t + params.update_interval
+        self.lr_sent = delivered  # each node sends only its own packets
+        return self._collect([{_LR: [tx[i], 0.0, idle[i] + (duration - last[i])]}
+                              for i in range(n)])
+
+    def _trace_benchmark(self, srcs: list[_Source]) -> None:
+        """Hand a benchmark run's rows, its arrivals in the event loop's
+        (time, node) order, to the trace in windows of time, each sorted on
+        its own; a window's keys and rows stay within TRACE_CHUNK_ROWS."""
+        from .output import TRACE_CHUNK_ROWS
+        srcs = [src for src in srcs if src.total_k > 0]
+        if not srcs:
+            return
+        duration = self.duration
+        tails = {src.node: self._trace_tail(src.node, None, math.inf, self.lr_cost[src.node])
+                 for src in srcs}
+        # every source has the same period, and a window of w periods holds
+        # at most w + 1 arrivals of each
+        span = max(1, TRACE_CHUNK_ROWS // 2 // len(srcs) - 1) * srcs[0].period
+        lo = [0] * len(srcs)
+        edge, w = 0.0, 0
+        while edge < duration:
+            w += 1
+            edge = w * span
+            keys = []
+            for i, src in enumerate(srcs):
+                phase, period, node = src.phase, src.period, src.node
+                hi = (src.total_k if edge >= duration
+                      else _first_k_at_or_after(phase, period, edge, lo[i]))
+                keys += [(phase + k * period, node) for k in range(lo[i], hi)]
+                lo[i] = hi
+            keys.sort()
+            self.trace.extend([(t, tails[node]) for t, node in keys])
+
+    def _trace_positions(self, t: float) -> None:
+        self.mobility_trace.extend((t, i, p.x, p.y) for i, p in enumerate(self.pos))
+
+    def _collect(self, iface_seconds: list[dict[InterfaceKind, list[float]]]) -> RunStats:
+        """The run's checked RunStats, given each node's seconds per interface."""
+        # the bound MAC handlers refer back to this simulator; dropping them
+        # lets reference counting free it once the caller lets go
+        del self._try_start_sr, self._h_sr_txend
         profiles = self.cfg.power_profiles
-        iface_seconds = [
-            {_SR: sr, _LR: ledger.seconds[_LR]} if self.coop else {_LR: ledger.seconds[_LR]}
-            for sr, ledger in zip(sr_seconds, self.ledgers)
-        ]
         iface_energy = [
             {iface: interface_energy(secs, profiles[iface]) for iface, secs in node.items()}
             for node in iface_seconds
         ]
-        return RunStats(
+        stats = RunStats(
             run_index=self.run_index,
             mode=self.cfg.mode.value,
             duration=self.duration,
@@ -837,16 +956,23 @@ class Simulator:
             dropped_link=self.dropped_link,
             relayed=self.relayed,
             hops_sum=self.hops_sum,
-            in_flight=in_flight,
+            in_flight=self.lr_in_flight,
             iface_seconds=iface_seconds,
             iface_energy=iface_energy,
         )
+        _check_invariants(stats, self.lr_sent, self.svc_lr)
+        return stats
 
 
-def _check_invariants(rs: RunStats) -> None:
+def _check_invariants(rs: RunStats, lr_sent: list[int] | None = None,
+                      svc_lr: list[float] | None = None) -> None:
     """Raise InvariantError unless every source's packets are accounted for
     and every interface's TX + RX + IDLE seconds sum to the duration (within
-    relative 1e-9, each part at least -1e-9 of it, for float rounding)."""
+    relative 1e-9, each part at least -1e-9 of it, for float rounding).
+    Given each sender's packets delivered on long range and service time,
+    its long-range TX must be that many services plus at most one more,
+    within the same tolerance plus one ulp of the duration per packet, which
+    bounds the rounding of each booked interval."""
     duration = rs.duration
     tol = 1e-9 * duration
     for i in range(rs.n_nodes):
@@ -863,6 +989,13 @@ def _check_invariants(rs: RunStats) -> None:
                 raise InvariantError(
                     f"run {rs.run_index} ({rs.mode}): node {i}: {name} TX + RX + IDLE seconds "
                     f"{secs[0]!r} + {secs[1]!r} + {secs[2]!r} != duration {duration!r}")
+        if lr_sent is not None:
+            tx, svc = rs.iface_seconds[i][_LR][0], svc_lr[i]
+            slack = tol + lr_sent[i] * math.ulp(duration)
+            if not -slack <= tx - lr_sent[i] * svc <= svc + slack:
+                raise InvariantError(
+                    f"run {rs.run_index} ({rs.mode}): node {i}: long-range TX seconds {tx!r} "
+                    f"!= {lr_sent[i]} packets x {svc!r} s, plus at most one on the air at the end")
 
 
 def run(

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -147,15 +148,15 @@ def test_failed_traced_run_leaves_no_trace_file(tmp_path, scenario_file, monkeyp
 
 
 def _corrupt_one_drop_count(monkeypatch):
-    """Make the first arrival of node 3 count one queue drop too many."""
-    original = Simulator._h_arrival
+    """Make every run, in either mode, count one queue drop of node 3 too
+    many: both modes hand their counts to _collect, which checks them."""
+    original = Simulator._collect
 
-    def h_arrival(self, node, k):
-        original(self, node, k)
-        if node == 3 and k == 0:
-            self.dropped_queue[node] += 1
+    def collect(self, iface_seconds):
+        self.dropped_queue[3] += 1
+        return original(self, iface_seconds)
 
-    monkeypatch.setattr(Simulator, "_h_arrival", h_arrival)
+    monkeypatch.setattr(Simulator, "_collect", collect)
 
 
 def test_run_that_breaks_conservation_exits_runtime_with_one_line(
@@ -428,6 +429,34 @@ def test_size_too_large_for_a_float_exits_invalid_naming_it(tmp_path, scenario_f
     assert rc == EXIT_INVALID
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert name in err
+
+@pytest.mark.parametrize("text, named", [
+    # more digits than Python converts to an int
+    ("beacon_size: 1" + "0" * 5000 + "\n", "cfg.yaml: integer on line 5"),
+    # periods whose events stop advancing once t + period == t
+    ("beacon_period: 1.0e-300\n", "beacon_period"),
+    ("mobility:\n  update_interval: 1.0e-300\n", "update_interval"),
+], ids=["long-integer", "beacon-period", "mobility-interval"])
+def test_bad_input_that_failed_or_spun_exits_invalid_naming_it(tmp_path, scenario_file, capsys,
+                                                                text, named):
+    path = _write_config(tmp_path, yaml.safe_dump(_CONFIG) + text)
+
+    def expire(signum, frame):
+        raise TimeoutError("run still going after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        rc = main(["run", "--config", str(path), "--scenario", str(scenario_file),
+                   "--out", str(tmp_path / "out")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert rc == EXIT_INVALID, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
 
 def test_run_without_traffic_fails_before_aggregate_csv(tmp_path, scenario_file, capsys):
     cfg = _write_config(tmp_path, "duration: 1\nruns: 1\ncbr_rate: 0\n")

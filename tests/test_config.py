@@ -66,6 +66,27 @@ def test_size_whose_megabits_overflow_is_rejected(name):
     assert getattr(SimConfig(**{name: 10 ** 300}), name) == 10 ** 300
 
 
+@pytest.mark.parametrize("name, with_period", [
+    ("beacon_period", lambda period: {"beacon_period": period}),
+    ("update_interval", lambda period: {"mobility": MobilityParams(update_interval=period)}),
+], ids=["beacon_period", "update_interval"])
+def test_period_too_short_for_the_run_is_rejected(name, with_period):
+    # from 2**52 steps per run on, t + period can equal t
+    for period in (1e-300, 2.0 ** -52):
+        with pytest.raises(ConfigError, match=name):
+            SimConfig(duration=1.0, cbr_rate=1.0, **with_period(period))
+    SimConfig(duration=1.0, cbr_rate=1.0, **with_period(2.0 ** -51))
+
+
+def test_integer_with_too_many_digits_is_a_config_error_naming_file_and_line(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("duration: 1\nbeacon_size: 1" + "0" * 5000 + "\n")
+    with pytest.raises(ConfigError, match=r"cfg\.yaml: integer on line 2 has more than"):
+        load_yaml(path)
+    path.write_text("beacon_size: 1" + "0" * 4000 + "\n")
+    assert load_yaml(path) == {"beacon_size": 10 ** 4000}
+
+
 def test_parse_config_minimal_and_modes():
     cfg, both = parse_config({})
     assert cfg.mode is Mode.COOPERATIVE and not both

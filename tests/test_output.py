@@ -58,11 +58,18 @@ def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows):
 
 
 def _reference_trace_row(self, node, nh):
-    """The trace row of a routing decision as a plain 6-tuple, from the
-    routing state alone: no cache."""
-    eq1 = self.routing[node].best_neighbor(self.now)[1] if self.coop else math.inf
+    """The trace row of a cooperative routing decision as a plain 6-tuple,
+    from the routing state alone: no cache."""
+    eq1 = self.routing[node].best_neighbor(self.now)[1]
     self.trace.append((self.now, node, "SR" if nh is not None else "LR",
                        nh if nh is not None else "", eq1, self.lr_cost[node]))
+
+
+def _reference_benchmark_trace(sim):
+    """A benchmark run's trace as plain 6-tuples: every arrival of every
+    source is an LR decision with no live neighbour, in (time, node) order."""
+    return sorted((s.phase + k * s.period, s.node, "LR", "", math.inf, sim.lr_cost[s.node])
+                  for s in sim.sources if s is not None for k in range(s.total_k))
 
 
 def test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows(tmp_path, monkeypatch):
@@ -73,11 +80,17 @@ def test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows(tmp_path, mo
     for mode in (Mode.BENCHMARK, Mode.COOPERATIVE):
         cfg = SimConfig(duration=0.5, runs=1, cbr_rate=3000.0, mode=mode, beacon_period=0.1)
         trace = []
-        run(cfg, sc, 0, trace=trace)
-        with monkeypatch.context() as m:
-            m.setattr(Simulator, "_trace_row", _reference_trace_row)
-            ref = []
-            run(cfg, sc, 0, trace=ref)
+        sim = Simulator(cfg, sc, 0, trace=trace)
+        sim.execute()
+        if mode is Mode.BENCHMARK:
+            ref = _reference_benchmark_trace(sim)
+            # the sources block, so the rows cannot come from arrival events
+            assert len(ref) > 2 * sim._seq
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(Simulator, "_trace_row", _reference_trace_row)
+                ref = []
+                run(cfg, sc, 0, trace=ref)
         assert {row[2] for row in ref} == ({"LR"} if mode is Mode.BENCHMARK else {"SR", "LR"})
         if mode is Mode.COOPERATIVE:
             # rows whose eq1 changed from the node's last row and next hop

@@ -1,4 +1,6 @@
+import gc
 import signal
+import weakref
 from collections import deque
 from dataclasses import asdict, replace
 from heapq import heapify, heappop, heappush
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from cesrsim.config import Mode, SimConfig
 from cesrsim.energy import InterfaceKind, RadioState
-from cesrsim.mobility import MobilityParams
+from cesrsim.mobility import MobilityParams, advance_all, init_states
+from cesrsim.rng import Generator, SeedSequence
 from cesrsim.scenario import (
     Area, MtClass, Position, Scenario, ScenarioNode, generate_scenario, place_random,
 )
@@ -113,6 +116,22 @@ def test_invariants_allow_rounding_but_name_what_breaks():
     rs.in_flight[5] += 1
     with pytest.raises(InvariantError, match=r"^run 0 \(cooperative\): node 5: generated "):
         _check_invariants(rs)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_invariants_require_long_range_airtime_of_the_packets_sent(mode):
+    cfg = SimConfig(duration=2.0, runs=1, cbr_rate=3000.0, mode=mode)
+    sim = Simulator(cfg, _scenario(), 0)
+    rs = sim.execute()  # checked with its senders' counts already
+    sent = sim.lr_sent
+    assert sum(sent) >= sum(rs.delivered_pkts) > 0
+    _check_invariants(rs)  # the counts are optional
+    node = max(range(rs.n_nodes), key=sent.__getitem__)
+    for wrong in (sent[node] + 1, sent[node] - 2):
+        # TX seconds short of one more packet, or more than one packet over
+        with pytest.raises(InvariantError, match=rf"^run 0 \({mode.value}\): node {node}: "
+                                                 "long-range TX seconds"):
+            _check_invariants(rs, [*sent[:node], wrong, *sent[node + 1:]], sim.svc_lr)
 
 
 def test_generated_matches_cbr_schedule():
@@ -315,7 +334,7 @@ def _reference_uplink(cfg, sc):
 
 def _assert_matches_reference(cfg, sc):
     counts, seconds, ends = _reference_uplink(cfg, sc)
-    for trace in (None, []):  # batched drops, and the per-packet loop
+    for trace in (None, []):  # a traced benchmark run blocks too
         rs = run(cfg, sc, 0, trace=trace)
         assert (rs.generated, rs.delivered_pkts, rs.dropped_queue, rs.in_flight) == counts
         for got, want in zip(rs.iface_seconds, seconds):
@@ -366,6 +385,26 @@ def test_benchmark_mode_steps_mobility_only_to_trace_it():
     run(SimConfig(mobility=MobilityParams(mean_speed=3.0, update_interval=0.5), **base), sc, 0,
         mobility_trace=mtrace)
     assert sorted({t for t, *_ in mtrace}) == [0.0, 0.5, 1.0, 1.5]
+
+
+def test_benchmark_mobility_trace_matches_independent_stepping():
+    # rows at 0, dt, 2 dt, ... below the duration (dt exact in binary, so
+    # the sums are exact too), positions from advance_all on the run's
+    # mobility stream alone
+    params = MobilityParams(mean_speed=3.0, update_interval=0.25)
+    cfg = SimConfig(duration=2.0, runs=1, cbr_rate=3000.0, mode=Mode.BENCHMARK,
+                    mobility=params, master_seed=9)
+    sc = _scenario(n=10, ca=2, seed=4)
+    mtrace = []
+    run(cfg, sc, 0, mobility_trace=mtrace)
+    rng = Generator(SeedSequence(cfg.master_seed, spawn_key=(0,)).spawn(3)[2])
+    states = init_states(sc.positions(), params, rng)
+    want = []
+    for step in range(8):
+        if step:
+            states = advance_all(states, params, sc.area, rng)
+        want += [(0.25 * step, i, st.position.x, st.position.y) for i, st in enumerate(states)]
+    assert mtrace == want
 
 
 def test_partial_sensing_short_range_seconds_per_clique():
@@ -468,6 +507,22 @@ def test_neighbour_lists_exclude_the_node_itself():
         for _ in range(2):
             assert all(i not in sim.nbrs[i] and i not in sim.nbrs_cs[i] for i in range(sim.n))
             sim._h_mobility()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_finished_simulator_is_freed_without_the_cycle_collector(mode):
+    # a sweep makes thousands of simulators; one caught in a reference cycle
+    # lives until the cycle collector runs, which raised a sweep's peak memory
+    cfg = SimConfig(duration=0.5, runs=1, cbr_rate=500.0, mode=mode)
+    sim = Simulator(cfg, _scenario(), 0)
+    gc.disable()
+    try:
+        sim.execute()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_run_index_validation():

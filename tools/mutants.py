@@ -33,6 +33,7 @@ PROPERTY = "tests/test_simcore.py::test_batched_drop_fast_path_matches_exact_per
 CONSERVATION = "tests/test_simcore.py::test_packet_conservation_per_source"
 RNG = "tests/test_rng.py"
 TRACE_ORACLE = "tests/test_output.py::test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows"
+BENCHMARK_REFERENCE = "tests/test_simcore.py::test_benchmark_uplink_matches_plain_reference"
 
 
 class Mutant(NamedTuple):
@@ -117,13 +118,32 @@ MUTANTS = (
         "lr-wake-at-newest-waiting-start", SIMCORE,
         "t = self.up_starts[node][0]",
         "t = self.up_starts[node][-1]",
-        ("tests/test_simcore.py::test_benchmark_uplink_matches_plain_reference", PROPERTY),
+        (PROPERTY,),
     ),
     Mutant(
         "relay-served-at-source-rate", SIMCORE,
         "end = self.up_end = start + self.svc_lr[sender]",
         "end = self.up_end = start + self.svc_lr[source]",
         ("tests/test_acceptance.py::test_criterion_5_gain_vs_traffic",),
+    ),
+    # --- the benchmark kernel, against the plain uplink reference and the trace oracle
+    Mutant(
+        "kernel-wake-at-newest-waiting-start", SIMCORE,
+        "                t = starts[0]\n",
+        "                t = starts[-1]\n",
+        (BENCHMARK_REFERENCE,),
+    ),
+    Mutant(
+        "kernel-end-of-run-drops-skipped", SIMCORE,
+        "batched = src.total_k - src.next_k",
+        "batched = 0",
+        (BENCHMARK_REFERENCE,),
+    ),
+    Mutant(
+        "kernel-trace-window-edge-off-by-one", SIMCORE,
+        "for k in range(lo[i], hi)]",
+        "for k in range(lo[i], hi + 1)]",
+        (TRACE_ORACLE,),
     ),
     # --- the per-node trace tail cache, against rows from the routing state
     Mutant(
@@ -162,13 +182,38 @@ MUTANTS = (
         "ledger-skips-tx-credit", "src/cesrsim/energy.py",
         "        seconds[_TX] += end - start\n",
         "",
-        ("tests/test_simcore.py::test_generated_matches_cbr_schedule",),
+        (CONSERVATION,),
     ),
     Mutant(
         "uplink-books-unclipped-end", SIMCORE,
         "self.ledgers[node].book(_LR, start, self.duration)",
         "self.ledgers[node].book(_LR, start, end)",
         ("tests/test_simcore.py::test_goodput_caps_at_uplink_capacity",),
+    ),
+    Mutant(
+        "finished-run-keeps-mac-handlers", SIMCORE,
+        "        del self._try_start_sr, self._h_sr_txend\n",
+        "",
+        ("tests/test_simcore.py::test_finished_simulator_is_freed_without_the_cycle_collector",),
+    ),
+    # --- a long-range booking skipped as a whole: the airtime invariant
+    Mutant(
+        "kernel-skips-booking", SIMCORE,
+        "if start < duration:  # book [start, end) as TX, IDLE since the last",
+        "if False:",
+        ("tests/test_simcore.py::test_generated_matches_cbr_schedule",),
+    ),
+    Mutant(
+        "arrival-skips-booking", SIMCORE,
+        "self.ledgers[node].book(_LR, start, end)",
+        "pass",
+        (CONSERVATION,),
+    ),
+    Mutant(
+        "uplink-skips-booking", SIMCORE,
+        "self.ledgers[sender].book(_LR, start, end)",
+        "pass",
+        ("tests/test_simcore.py::test_cooperative_relays_through_cheap_uplinks",),
     ),
     # --- rng.py against numpy
     Mutant(

@@ -8,12 +8,13 @@ change to the simulator keeps its results.
 3 scenarios x cs_range_factor 6 and 1.5 x 50 and 3000 pkt/s x mobility off
 and at 3 m/s x both modes x queue caps 50 and 1 x seeds 1-2 x beacon periods
 1 and 0.2 s x trace off and on, 2 s each.  It writes one JSON line per run:
-its grid key, `dataclasses.asdict(RunStats)`, the row count of its trace and
-the sha256 of the trace CSV that the checkout's own `write_trace_csv` writes
-for the run (of no bytes for an untraced run), and its heap-push count
-(`Simulator._seq`).  Hashing the written file, not the row objects, lets
-two versions whose trace rows differ in shape but write the same file
-compare equal.  To compare two versions, copy this file into both
+its grid key, `dataclasses.asdict(RunStats)`, the row count of its trace,
+the sha256 of the trace CSV and of the mobility trace CSV that the
+checkout's own `write_trace_csv` and `write_mobility_trace_csv` write for the
+run (of no bytes for an untraced run; a traced run records both), and its
+heap-push count (`Simulator._seq`).  Hashing the written files, not the row
+objects, lets two versions whose rows differ in shape but write the same
+files compare equal.  To compare two versions, copy this file into both
 checkouts, dump in each, then `compare` the two files.  `compare` prints
 how many runs are equal, the worst relative float difference and the first
 differing field, and exits 1 unless every run is equal.  It also prints
@@ -35,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cesrsim.config import Mode, SimConfig  # noqa: E402
 from cesrsim.mobility import MobilityParams  # noqa: E402
-from cesrsim.output import write_trace_csv  # noqa: E402
+from cesrsim.output import write_mobility_trace_csv, write_trace_csv  # noqa: E402
 from cesrsim.scenario import Area, generate_scenario  # noqa: E402
 from cesrsim.simcore import Simulator  # noqa: E402
 
@@ -65,13 +66,13 @@ def grid():
         yield dict(zip(AXES, values))
 
 
-def _trace_sha256(trace: list | None) -> str:
-    """sha256 of the trace CSV write_trace_csv writes for these rows."""
-    if trace is None:
+def _sha256(write, rows: list | None) -> str:
+    """sha256 of the CSV file `write(rows, path)` writes; of no bytes for None."""
+    if rows is None:
         return hashlib.sha256(b"").hexdigest()
     with tempfile.TemporaryDirectory(prefix="runstats-grid-") as tmp:
         path = Path(tmp) / "trace.csv"
-        write_trace_csv(trace, path)
+        write(rows, path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -87,13 +88,15 @@ def run_point(p: dict) -> dict:
         mobility=mobility, master_seed=p["seed"],
     )
     trace = [] if p["trace"] else None
-    sim = Simulator(cfg, sc, 0, trace=trace)
+    mobility_trace = [] if p["trace"] else None
+    sim = Simulator(cfg, sc, 0, trace=trace, mobility_trace=mobility_trace)
     rs = sim.execute()
     return {
         "key": json.dumps(p, sort_keys=True),
         "stats": asdict(rs),
         "trace_rows": len(trace or []),
-        "trace_sha256": _trace_sha256(trace),
+        "trace_sha256": _sha256(write_trace_csv, trace),
+        "mobility_sha256": _sha256(write_mobility_trace_csv, mobility_trace),
         "pushes": sim._seq,
     }
 
