@@ -22,9 +22,9 @@ a shared long-range uplink over [0, duration) seconds:
   sensing-range nodes in RX for the occupancy interval (a busy medium view
   means the radio is capturing a signal), while decoding a beacon or a
   unicast still requires being within tx_range.
-  A node with queued traffic defers while its local medium view is busy.
-  Deferred nodes wait in one queue ordered by (first wait time, node id);
-  a frame end retries, in that order, each one whose view is now clear.
+  A node with queued traffic defers while its local medium view is busy;
+  a frame end retries, in (first wait time, node id) order, each deferred
+  node whose view it cleared.
   Both neighbour lists are ``connectivity_graph`` over the one position
   list, rebuilt at each mobility step.  Unicast data delivery fails silently
   if the target is out of range at completion; beacons are lost at nodes
@@ -87,17 +87,17 @@ the per-packet loop without blocking, which is what a cooperative --trace
 uses.  A source has one live arrival, its wake, which is next_k while
 unblocked; an unblock can come before the wake fires, so others are stale.
 
-On a saturated long-range source most events are a wake that is accepted
-and blocks again at once, so ``_h_arrival`` handles a source's own packet in
-one call: it counts the batched drops, queues a short-range packet or books
-a long-range one on the uplink itself (dropping it if relayed packets of the
-source took the slot that freed), and blocks again with the next wake
-pushed.  A traced cooperative run takes the same path: it writes the
-decision's row first and never blocks.  A relay writes the same row, then
-queues the packet with ``_enqueue_sr`` or books it with ``_uplink``.  A row
-is (time, tail), the tail being the rest of its CSV line
-(``output.trace_tail``), which each node formats again only when its next
-hop or eq1 cost changed.
+Cooperative runs, like benchmark runs, run in one kernel,
+``_run_cooperative``: the run's lists, clock and uplink end are locals,
+arrivals and frame ends are handled inline, and the steps several events
+share (a frame start per MAC path, an unblock, an uplink booking, a finished
+frame's delivery) are nested functions over those locals.  An arrival counts
+the batched drops, queues a short-range packet or books a long-range one
+(dropped if relayed packets of the source took the slot that freed), and
+blocks again with the next wake pushed.  A traced run never blocks and
+writes a row per decision, at a source or a relay: (time, tail), the tail
+being the rest of its CSV line (``output.trace_tail``), which each node
+formats again only when its next hop or eq1 cost changed.
 
 Benchmark mode has no short-range traffic, routing or beacons, so
 ``_run_benchmark`` runs it without the event loop: it merges the sources'
@@ -162,6 +162,8 @@ class _Source:
 
 def _first_k_at_or_after(phase: float, period: float, t: float, lo: int = 0) -> int:
     """Smallest k >= lo with phase + k*period >= t, robust to float rounding."""
+    if phase + lo * period >= t:  # phase + k*period never decreases in k
+        return lo
     k = int(math.ceil((t - phase) / period))
     if k < lo:
         k = lo
@@ -338,158 +340,28 @@ class Simulator:
         self._use_sr_path(inside and w * w + h * h <= self.cs_range * self.cs_range)
 
     def _use_sr_path(self, complete: bool) -> None:
-        """Bind the short-range MAC handlers of one path and set up its state."""
+        """Choose the short-range MAC path and set up its state."""
         n = self.n
         self.complete_medium = complete
-        self.defer_q: list[tuple[float, int]] = []  # (first wait time, node), in order
-        self.waiting: list[float | None] = [None] * n  # first wait time while in defer_q
+        self.defer_q: list[tuple[float, int]] = []  # complete medium: (first wait, node)
+        self.waiting: list[float | None] = [None] * n  # first wait time while deferred
         self.sr_tx_s = [0.0] * n               # charged TX seconds per node
-        if complete:
-            self.air: tuple[int, float, bool] | None = None  # (sender, start, charged)
-            self.sr_busy = 0.0                 # charged airtime so far
-            self._try_start_sr = self._try_start_sr_complete
-            self._h_sr_txend = self._h_sr_txend_complete
-        else:
-            self.sr_tx = [False] * n           # any own frame on the air
-            self.tx_start: list[float | None] = [None] * n  # own charged frame's start
-            # frames covering each node, from the coverage snapshot taken at
-            # the frame's start, counted apart: charged ones (rx_count) and
-            # uncharged ones; a node's medium view is busy while either is > 0
-            self.rx_count = [0] * n
-            self.uncharged_count = [0] * n
-            self.rx_since = [0.0] * n          # start of the current RX interval
-            self.sr_rx_s = [0.0] * n
-            self._try_start_sr = self._try_start_sr_per_node
-            self._h_sr_txend = self._h_sr_txend_per_node
+        # per-node path
+        self.sr_tx = [False] * n               # any own frame on the air
+        self.tx_start: list[float | None] = [None] * n  # own charged frame's start
+        # frames covering each node (coverage snapshot at their start):
+        # charged and uncharged; its view is busy while either is > 0
+        self.rx_count = [0] * n
+        self.uncharged_count = [0] * n
+        self.rx_since = [0.0] * n              # start of the current RX interval
+        self.sr_rx_s = [0.0] * n
         self._rebuild_neighbors()
-
-    # --- plumbing -----------------------------------------------------------
-
-    def _push(self, time: float, kind: int, node: int, payload) -> None:
-        self._seq += 1
-        heappush(self.heap, (time, kind, node, self._seq, payload))
 
     def _rebuild_neighbors(self) -> None:
         self.nbrs = connectivity_graph(self.pos, self.scenario.tx_range)
         # the complete-medium path reads no sensing-range lists
         self.nbrs_cs = ([[] for _ in range(self.n)] if self.complete_medium
                         else connectivity_graph(self.pos, self.cs_range))
-
-    # --- CBR sources --------------------------------------------------------
-
-    def _unblock(self, src: _Source, tmin: float) -> None:
-        """End a block at the first arrival at or after tmin, which becomes
-        the live one: every arrival before it was dropped.
-
-        Valid because between blocking and tmin neither the target queue
-        gained space nor the node's routing decision changed.
-        """
-        k = _first_k_at_or_after(src.phase, src.period, tmin, src.next_k)
-        if k > src.total_k:
-            k = src.total_k
-        batched = k - src.next_k
-        self.generated[src.node] += batched
-        self.dropped_queue[src.node] += batched
-        src.next_k = k
-        src.blocked = None
-        src.wake = k
-        if k < src.total_k:
-            self._seq += 1
-            heappush(self.heap, (src.phase + k * src.period, _K_ARRIVAL, src.node, self._seq, k))
-
-    def _h_arrival(self, node: int, k: int) -> None:
-        """Arrival k of a source's own packet: end a block it wakes, route
-        the packet, then push the next arrival or block the source."""
-        src = self.sources[node]
-        if k != src.wake:
-            return  # stale: an unblock superseded it
-        if src.blocked is not None:
-            # every arrival since the block was dropped
-            batched = k - src.next_k
-            self.generated[node] += batched
-            self.dropped_queue[node] += batched
-            src.blocked = None
-        src.next_k = k + 1
-        self.generated[node] += 1
-        now = self.now
-        nh = self.routing[node].forward_decision(now)
-        if self.trace is not None:
-            self._trace_row(node, nh)
-        if nh is not None:
-            # _enqueue_sr(node, nh, (node, 0)) in place, reporting a full queue
-            q = self.sr_queues[node]
-            if len(q) < self.sr_cap:
-                q.append((nh, (node, 1)))
-                if len(q) == 1:  # a node with frames queued is on the air or deferred
-                    self._try_start_sr(node)
-                full = "SR" if len(q) >= self.sr_cap else None
-            else:
-                self.dropped_queue[node] += 1
-                full = "SR"
-        else:
-            # _uplink(node, (node, 0)) in place: on saturated runs most
-            # arrivals are a blocked source's wake, booked here and blocked again
-            start = self.up_end
-            full = None
-            if now < start:
-                starts = self.up_starts[node]
-                while starts and starts[0] <= now:
-                    starts.popleft()  # started by now, so no longer waiting
-                if len(starts) < self.up_cap:
-                    starts.append(start)
-                    if len(starts) >= self.up_cap:
-                        full = "LR"
-                else:
-                    # relayed packets of this source took the slot that freed
-                    self.dropped_queue[node] += 1
-                    full = "LR"
-                    start = None
-            else:
-                start = now
-            if start is not None:
-                end = self.up_end = start + self.svc_lr[node]
-                if end < self.duration:
-                    self.ledgers[node].book(_LR, start, end)
-                    self.lr_sent[node] += 1
-                    self.delivered_pkts[node] += 1
-                    self.delivered_mb[node] += self.pkt_mb  # 0 hops: hops_sum keeps
-                else:
-                    if start < self.duration:  # on the air at the end: TX up to it
-                        self.ledgers[node].book(_LR, start, self.duration)
-                    self.lr_in_flight[node] += 1
-        k += 1
-        if full is not None and self.trace is None:  # a traced run never blocks
-            # the next arrival would be dropped: block until the first arrival
-            # at or after the time the block could end by itself
-            src.blocked = full
-            if full == "LR":
-                t = self.up_starts[node][0]  # the quota frees as this packet starts
-            else:
-                # finite: a short-range decision needs a live entry
-                t = self.routing[node].earliest_expiry(now)
-            # a wake an earlier block pushed is still pending if it is at or
-            # after arrival k = next_k, since the arrival before k is now
-            if t == src.pushed_t and src.pushed_wake >= k:
-                # that block came at an earlier arrival, so below k, and
-                # first_k(t, lo) = max(lo, first_k(t, 0)): the wake is the same
-                src.wake = src.pushed_wake
-                return
-            # each arrival from t >= duration on is at or after the end and
-            # never pushed, so total_k stands for the first; the search would
-            # overflow or spin on a t far past the last arrival
-            k = (src.total_k if t >= self.duration
-                 else _first_k_at_or_after(src.phase, src.period, t, k))
-            if k == src.pushed_wake:
-                src.wake = k
-                return
-            src.pushed_wake = k
-            src.pushed_t = t
-        src.wake = k
-        if k < src.total_k:
-            self._seq += 1
-            heappush(self.heap, (src.phase + k * src.period, _K_ARRIVAL, node, self._seq, k))
-
-    # --- forwarding ---------------------------------------------------------
 
     def _trace_row(self, node: int, nh: int | None) -> None:
         """Append the --trace row (time, tail) of the routing decision `nh`
@@ -504,323 +376,416 @@ class Simulator:
                 nh, eq1, self._trace_tail(node, nh, eq1, self.lr_cost[node]))
         self.trace.append((now, last[2]))
 
-    def _enqueue_sr(self, node: int, nh: int, pkt: tuple[int, int]) -> None:
-        """Queue a (source, hops) packet at `node` for next hop `nh`, one hop
-        on; a full queue drops it and counts the drop against its source."""
-        q = self.sr_queues[node]
-        if len(q) >= self.sr_cap:
-            self.dropped_queue[pkt[0]] += 1
-            return
-        q.append((nh, (pkt[0], pkt[1] + 1)))
-        if len(q) == 1:  # as in _h_arrival
-            self._try_start_sr(node)
-
-    # --- long-range uplink ----------------------------------------------------
-
-    def _uplink(self, sender: int, pkt: tuple[int, int]) -> None:
-        """Offer a relayed (source, hops) packet to the uplink and book it in
-        full if its source's quota has room, else drop it.  _h_arrival books
-        a source's own packet by the same steps in place."""
-        source, hops = pkt
-        start = self.up_end
-        if self.now < start:
-            starts = self.up_starts[source]
-            while starts and starts[0] <= self.now:
-                starts.popleft()  # started by now, so no longer waiting
-            if len(starts) >= self.up_cap:
-                self.dropped_queue[source] += 1
-                return
-            starts.append(start)
-        else:
-            start = self.now
-        # FIFO, so the sender's ledger gets its bookings in time order
-        end = self.up_end = start + self.svc_lr[sender]
-        if end < self.duration:
-            self.ledgers[sender].book(_LR, start, end)
-            self.lr_sent[sender] += 1
-            self.delivered_pkts[source] += 1
-            self.delivered_mb[source] += self.pkt_mb
-            self.hops_sum[source] += hops
-        else:
-            if start < self.duration:  # as in _h_arrival
-                self.ledgers[sender].book(_LR, start, self.duration)
-            self.lr_in_flight[source] += 1
-
-    # --- short-range medium: both paths ---------------------------------------
-
-    def _sr_received(self, sender: int, nh: int, payload, receivable) -> None:
-        """Hand a finished frame to its receivers."""
-        if nh < 0:
-            now = self.now
-            for j in receivable:
-                self.routing[j].handle_beacon(sender, payload, now)
-                src = self.sources[j]
-                if src is not None and src.blocked is not None:
-                    # the table changed; the batched-drop window ends here
-                    self._unblock(src, now)
-        elif nh in self.nbrs[sender]:
-            # relay the packet at nh
-            source, hops = payload
-            if hops >= self.hop_budget:
-                self.dropped_hops[source] += 1
-                return
-            self.relayed[nh] += 1
-            nxt = self.routing[nh].forward_decision(self.now)
-            if self.trace is not None:
-                self._trace_row(nh, nxt)
-            if nxt is None:
-                self._uplink(nh, payload)
-            else:
-                self._enqueue_sr(nh, nxt, payload)
-        else:
-            self.dropped_link[payload[0]] += 1
-
-    def _close_sr(self) -> list[list[float]]:
-        """Clip the frames still on the air at the end of the run and return
-        each node's short-range [TX, RX, IDLE] seconds."""
-        duration = self.duration
-        tx_s = self.sr_tx_s
-        if self.complete_medium:
-            if self.air is not None and self.air[2]:
-                sender, start, _ = self.air
-                self.sr_busy += duration - start
-                tx_s[sender] += duration - start
-            busy = self.sr_busy
-            return [[tx, busy - tx, duration - busy] for tx in tx_s]
-        rx_s = self.sr_rx_s
-        for j, start in enumerate(self.tx_start):
-            if start is not None:
-                tx_s[j] += duration - start
-            elif self.rx_count[j] > 0:
-                rx_s[j] += duration - self.rx_since[j]
-        return [[tx, rx, duration - tx - rx] for tx, rx in zip(tx_s, rx_s)]
-
-    # --- short-range medium: per-node path ------------------------------------
-
-    def _try_start_sr_per_node(self, node: int) -> None:
-        """Put the head of a node's queue, which is not empty, on the air, or
-        defer the node while its view is busy; a node on the air retries at
-        its frame end."""
-        if self.sr_tx[node]:
-            return
-        rx_count, uncharged_count = self.rx_count, self.uncharged_count
-        now = self.now
-        waiting = self.waiting
-        if rx_count[node] or uncharged_count[node]:
-            # a node already waiting keeps its first wait time
-            if waiting[node] is None:
-                waiting[node] = now
-                insort(self.defer_q, (now, node))
-            return
-        waited = waiting[node]
-        if waited is not None:
-            waiting[node] = None
-            self.defer_q.remove((waited, node))
-        nh, payload = self.sr_queues[node].popleft()
-        src = self.sources[node]
-        if src is not None and src.blocked == "SR":
-            self._unblock(src, now)  # a queue slot just freed
-        if nh < 0:
-            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
-        else:
-            charge, dur = True, self.dur_sr_data
-        # contention overhead: one slot per node still deferring
-        dur += self.cfg.contention_slot * len(self.defer_q)
-        sr_tx = self.sr_tx
-        receivable = None
-        if nh < 0:  # a beacon is delivered where a decode-range view is clear
-            receivable = [j for j in self.nbrs[node]
-                          if not (sr_tx[j] or rx_count[j] or uncharged_count[j])]
-        # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
-        # and never mutates old ones, so this reference is a snapshot
-        covered_cs = self.nbrs_cs[node]
-        sr_tx[node] = True
-        if charge:
-            tx_start = self.tx_start
-            tx_start[node] = now
-            rx_since = self.rx_since
-            for j in covered_cs:
-                c = rx_count[j] + 1
-                rx_count[j] = c
-                if c == 1 and tx_start[j] is None:
-                    rx_since[j] = now
-        else:
-            for j in covered_cs:
-                uncharged_count[j] += 1
-        self._push(now + dur, _K_SR_TXEND, node, (nh, payload, covered_cs, receivable, charge))
-
-    def _h_sr_txend_per_node(self, sender: int, frame) -> None:
-        nh, payload, covered_cs, receivable, charge = frame
-        self.sr_tx[sender] = False
-        now = self.now
-        rx_count, uncharged_count = self.rx_count, self.uncharged_count
-        waiting = self.waiting
-        cleared = []  # (first wait time, node) of deferred nodes this end clears
-        if charge:
-            tx_start = self.tx_start
-            rx_since = self.rx_since
-            sr_rx_s = self.sr_rx_s
-            for j in covered_cs:
-                c = rx_count[j] - 1
-                rx_count[j] = c
-                if c == 0:
-                    if tx_start[j] is None:
-                        sr_rx_s[j] += now - rx_since[j]
-                    if waiting[j] is not None and not uncharged_count[j]:
-                        cleared.append((waiting[j], j))
-            self.sr_tx_s[sender] += now - tx_start[sender]
-            tx_start[sender] = None
-            if rx_count[sender] > 0:
-                rx_since[sender] = now
-        else:
-            for j in covered_cs:
-                c = uncharged_count[j] - 1
-                uncharged_count[j] = c
-                if c == 0 and waiting[j] is not None and not rx_count[j]:
-                    cleared.append((waiting[j], j))
-        # medium freed inside the sensing set: deferred nodes whose view it
-        # cleared retry in queue order, then the sender itself.  No other
-        # deferred node can start: between events every deferred node senses
-        # a frame, since each frame end that clears its view retries it; one
-        # that an earlier start here made busy again stays deferred.
-        cleared.sort()
-        for _, j in cleared:
-            self._try_start_sr_per_node(j)
-        if self.sr_queues[sender]:
-            self._try_start_sr_per_node(sender)
-        self._sr_received(sender, nh, payload, receivable)
-
-    # --- short-range medium: complete-medium path -------------------------------
-
-    def _try_start_sr_complete(self, node: int) -> None:
-        """Start a node's first queued frame if the medium is idle, else defer
-        the node; the sender of the frame on the air retries at its end.
-        Only a node whose queue was empty calls this, so it is not waiting."""
-        air = self.air
-        if air is None:
-            self._start_sr_complete(node)
-        elif air[0] != node:  # every node but the sender senses the frame
-            self.waiting[node] = self.now
-            insort(self.defer_q, (self.now, node))
-
-    def _start_sr_complete(self, node: int) -> None:
-        """Put the head of a node's queue on the free medium, with one
-        contention slot per node still deferring."""
-        nh, payload = self.sr_queues[node].popleft()
-        now = self.now
-        src = self.sources[node]
-        if src is not None and src.blocked == "SR":
-            self._unblock(src, now)  # a queue slot just freed
-        if nh < 0:
-            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
-        else:
-            charge, dur = True, self.dur_sr_data
-        dur += self.cfg.contention_slot * len(self.defer_q)
-        self.air = (node, now, charge)
-        # no other radio is busy, so every decode-range neighbour receives;
-        # _rebuild_neighbors never mutates a list it has assigned
-        self._seq += 1
-        heappush(self.heap,
-                 (now + dur, _K_SR_TXEND, node, self._seq, (nh, payload, self.nbrs[node])))
-
-    def _h_sr_txend_complete(self, sender: int, frame) -> None:
-        nh, payload, receivable = frame
-        _, start, charged = self.air
-        now = self.now
-        if charged:
-            dt = now - start
-            self.sr_busy += dt
-            self.sr_tx_s[sender] += dt
-        # the medium is free: the node that has waited longest starts, and
-        # the sender, if it has frames left, waits behind every other node
-        defer_q = self.defer_q
-        if defer_q:
-            head = defer_q.pop(0)[1]
-            self.waiting[head] = None
-            self._start_sr_complete(head)
-            if self.sr_queues[sender]:  # on the air until now, so not waiting
-                self.waiting[sender] = now
-                insort(defer_q, (now, sender))
-        elif self.sr_queues[sender]:
-            self._start_sr_complete(sender)
-        else:
-            self.air = None
-        self._sr_received(sender, nh, payload, receivable)
-
-    # --- periodic events --------------------------------------------------------
-
-    def _h_beacon_due(self, node: int) -> None:
-        q = self.sr_queues[node]
-        q.append((-1, self.routing[node].make_beacon(self.now)))
-        if len(q) == 1:  # as in _h_arrival
-            self._try_start_sr(node)
-        self._push(self.now + self.cfg.beacon_period, _K_BEACON, node, None)
-
     def _h_mobility(self) -> None:
-        params = self.cfg.mobility
+        """Step every node at self.now and rebuild the neighbour lists."""
         self.mob_states = mob.advance_all(
-            self.mob_states, params, self.scenario.area, self.rng_mob
+            self.mob_states, self.cfg.mobility, self.scenario.area, self.rng_mob
         )
         self.pos = [st.position for st in self.mob_states]
         self._rebuild_neighbors()
         if self.mobility_trace is not None:
             self._trace_positions(self.now)
-        self._push(self.now + params.update_interval, _K_MOBILITY, 0, None)
 
     # --- run ----------------------------------------------------------------
 
     def execute(self) -> RunStats:
-        if not self.coop:
-            return self._run_benchmark()
-        cfg = self.cfg
+        return self._run_cooperative() if self.coop else self._run_benchmark()
+
+    def _run_cooperative(self) -> RunStats:
+        """A cooperative run in one kernel (see the module docstring)."""
+        cfg, n, duration = self.cfg, self.n, self.duration
+        push, pop = heappush, heappop  # looked up per run: a wrapper sees every event
+        heap, trace, sources, routing = self.heap, self.trace, self.sources, self.routing
+        sr_queues, sr_cap, hop_budget = self.sr_queues, self.sr_cap, self.hop_budget
+        nbrs, nbrs_cs, complete = self.nbrs, self.nbrs_cs, self.complete_medium
+        generated, delivered_pkts, delivered_mb = self.generated, self.delivered_pkts, self.delivered_mb
+        dropped_queue, dropped_hops, dropped_link = self.dropped_queue, self.dropped_hops, self.dropped_link
+        relayed, hops_sum, pkt_mb = self.relayed, self.hops_sum, self.pkt_mb
+        up_starts, up_cap, svc_lr = self.up_starts, self.up_cap, self.svc_lr
+        ledgers, lr_sent, lr_in_flight = self.ledgers, self.lr_sent, self.lr_in_flight
+        waiting, defer_q, sr_tx_s = self.waiting, self.defer_q, self.sr_tx_s
+        sr_tx, tx_start, rx_since, sr_rx_s = self.sr_tx, self.tx_start, self.rx_since, self.sr_rx_s
+        rx_count, uncharged_count = self.rx_count, self.uncharged_count
+        slot, beacon_charged = cfg.contention_slot, cfg.beacon_energy_counted
+        dur_data, dur_beacon, beacon_period = self.dur_sr_data, self.dur_sr_beacon, cfg.beacon_period
+        now = up_end = sr_busy = 0.0
+        seq = 0  # heap pushes
+        air = None  # complete medium: (sender, start, charged) on the air
+        deferred = 0  # per-node path: nodes waiting
+
         if self.mob_states is not None:
             if self.mobility_trace is not None:
                 self._trace_positions(0.0)
-            self._push(cfg.mobility.update_interval, _K_MOBILITY, 0, None)
-        for i in range(self.n):
-            offset = cfg.beacon_period * self.rng_beacon.random()
-            self._push(offset, _K_BEACON, i, None)
-        for src in self.sources:
+            seq += 1
+            push(heap, (cfg.mobility.update_interval, _K_MOBILITY, 0, seq, None))
+        for i in range(n):
+            seq += 1
+            push(heap, (beacon_period * self.rng_beacon.random(), _K_BEACON, i, seq, None))
+        for src in sources:
             if src is not None and src.total_k > 0:
-                self._push(src.phase, _K_ARRIVAL, src.node, 0)
+                seq += 1
+                push(heap, (src.phase, _K_ARRIVAL, src.node, seq, 0))
 
-        heap = self.heap
-        duration = self.duration
-        h_arrival, h_sr_txend = self._h_arrival, self._h_sr_txend
-        h_beacon_due, h_mobility = self._h_beacon_due, self._h_mobility
-        while heap and heap[0][0] < duration:
-            time, kind, node, _, payload = heappop(heap)
-            self.now = time
-            if kind == _K_ARRIVAL:
-                h_arrival(node, payload)
-            elif kind == _K_SR_TXEND:
-                h_sr_txend(node, payload)
-            elif kind == _K_BEACON:
-                h_beacon_due(node)
+        def unblock(src, tmin):
+            """End a block at the first arrival at or after tmin, which becomes
+            the live one: every arrival before it was dropped."""
+            nonlocal seq
+            k = _first_k_at_or_after(src.phase, src.period, tmin, src.next_k)
+            if k > src.total_k:
+                k = src.total_k
+            batched = k - src.next_k
+            generated[src.node] += batched
+            dropped_queue[src.node] += batched
+            src.next_k = k
+            src.blocked = None
+            src.wake = k
+            if k < src.total_k:
+                seq += 1
+                push(heap, (src.phase + k * src.period, _K_ARRIVAL, src.node, seq, k))
+
+        def uplink(sender, pkt):
+            """Book a relayed (source, hops) packet in full if its source's
+            quota has room, else drop it, as an arrival books its own."""
+            nonlocal up_end
+            source, hops = pkt
+            start = up_end
+            if now < start:
+                starts = up_starts[source]
+                while starts and starts[0] <= now:
+                    starts.popleft()  # started by now, so no longer waiting
+                if len(starts) >= up_cap:
+                    dropped_queue[source] += 1
+                    return
+                starts.append(start)
             else:
-                h_mobility()
+                start = now
+            # FIFO, so the sender's ledger gets its bookings in time order
+            end = up_end = start + svc_lr[sender]
+            if end < duration:
+                ledgers[sender].book(_LR, start, end)
+                lr_sent[sender] += 1
+                delivered_pkts[source] += 1
+                delivered_mb[source] += pkt_mb
+                hops_sum[source] += hops
+            else:
+                if start < duration:  # on the air at the end: TX up to it
+                    ledgers[sender].book(_LR, start, duration)
+                lr_in_flight[source] += 1
 
-        self.now = duration
-        for ledger in self.ledgers:
+        def start_per_node(node):
+            """Put the head of a node's queue on the air: it is not waiting, and
+            its view is clear."""
+            nonlocal seq
+            nh, payload = sr_queues[node].popleft()
+            src = sources[node]
+            if src is not None and src.blocked == "SR":
+                unblock(src, now)  # a queue slot just freed
+            if nh < 0:
+                charge, dur = beacon_charged, dur_beacon
+            else:
+                charge, dur = True, dur_data
+            # contention overhead: one slot per node still deferring
+            dur += slot * deferred
+            receivable = None
+            if nh < 0:  # a beacon is delivered where a decode-range view is clear
+                receivable = [j for j in nbrs[node]
+                              if not (sr_tx[j] or rx_count[j] or uncharged_count[j])]
+            # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
+            # and never mutates old ones, so this reference is a snapshot
+            covered_cs = nbrs_cs[node]
+            sr_tx[node] = True
+            if charge:
+                tx_start[node] = now
+                for j in covered_cs:
+                    c = rx_count[j] + 1
+                    rx_count[j] = c
+                    if c == 1 and tx_start[j] is None:
+                        rx_since[j] = now
+            else:
+                for j in covered_cs:
+                    uncharged_count[j] += 1
+            seq += 1
+            push(heap, (now + dur, _K_SR_TXEND, node, seq,
+                        (nh, payload, covered_cs, receivable, charge)))
+
+        def try_start_per_node(node):
+            """Start a node's first queued frame, or defer the node while its
+            view is busy; a node on the air retries at its frame end."""
+            nonlocal deferred
+            if sr_tx[node]:
+                return
+            if rx_count[node] or uncharged_count[node]:
+                waiting[node] = now
+                deferred += 1
+                return
+            start_per_node(node)
+
+        def start_complete(node):
+            """Put the head of a node's queue on the free medium, with one
+            contention slot per node still deferring."""
+            nonlocal seq, air
+            nh, payload = sr_queues[node].popleft()
+            src = sources[node]
+            if src is not None and src.blocked == "SR":
+                unblock(src, now)  # a queue slot just freed
+            if nh < 0:
+                charge, dur = beacon_charged, dur_beacon
+            else:
+                charge, dur = True, dur_data
+            dur += slot * len(defer_q)
+            air = (node, now, charge)
+            # no other radio is busy, so every decode-range neighbour receives;
+            # _rebuild_neighbors never mutates a list it has assigned
+            seq += 1
+            push(heap, (now + dur, _K_SR_TXEND, node, seq, (nh, payload, nbrs[node])))
+
+        def try_start_complete(node):
+            """Start a node's first queued frame if the medium is idle, else
+            defer the node; the sender on the air retries at its frame end."""
+            if air is None:
+                start_complete(node)
+            elif air[0] != node:  # every node but the sender senses the frame
+                waiting[node] = now
+                insort(defer_q, (now, node))
+
+        try_start = try_start_complete if complete else try_start_per_node
+
+        def trace_row(node, nh):
+            self.now = now
+            self._trace_row(node, nh)
+
+        ARRIVAL, SR_TXEND, BEACON = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON
+        while heap and heap[0][0] < duration:
+            now, kind, node, _, payload = pop(heap)
+            if kind == ARRIVAL:
+                # arrival k of a source's own packet: end a block it wakes,
+                # route the packet, then push the next arrival or block
+                src = sources[node]
+                if payload != src.wake:
+                    continue  # stale: an unblock superseded it
+                k = payload
+                if src.blocked is not None:
+                    # every arrival since the block was dropped
+                    batched = k - src.next_k
+                    generated[node] += batched
+                    dropped_queue[node] += batched
+                    src.blocked = None
+                src.next_k = k + 1
+                generated[node] += 1
+                nh = routing[node].forward_decision(now)
+                if trace is not None:
+                    trace_row(node, nh)
+                if nh is not None:
+                    # a relay's enqueue in place, reporting a full queue
+                    q = sr_queues[node]
+                    if len(q) < sr_cap:
+                        q.append((nh, (node, 1)))
+                        if len(q) == 1:  # as for a relay
+                            try_start(node)
+                        full = "SR" if len(q) >= sr_cap else None
+                    else:
+                        dropped_queue[node] += 1
+                        full = "SR"
+                else:
+                    # uplink(node, (node, 0)) in place: on saturated runs most
+                    # arrivals are a blocked source's wake, booked here and blocked again
+                    start = up_end
+                    full = None
+                    if now < start:
+                        starts = up_starts[node]
+                        while starts and starts[0] <= now:
+                            starts.popleft()  # started by now, so no longer waiting
+                        if len(starts) < up_cap:
+                            starts.append(start)
+                            if len(starts) >= up_cap:
+                                full = "LR"
+                        else:
+                            # relayed packets of this source took the slot that freed
+                            dropped_queue[node] += 1
+                            full = "LR"
+                            start = None
+                    else:
+                        start = now
+                    if start is not None:
+                        end = up_end = start + svc_lr[node]
+                        if end < duration:
+                            ledgers[node].book(_LR, start, end)
+                            lr_sent[node] += 1
+                            delivered_pkts[node] += 1
+                            delivered_mb[node] += pkt_mb  # 0 hops: hops_sum keeps
+                        else:
+                            if start < duration:  # as in uplink
+                                ledgers[node].book(_LR, start, duration)
+                            lr_in_flight[node] += 1
+                k += 1
+                if full is not None and trace is None:  # a traced run never blocks
+                    # the next arrival would be dropped: block until the first
+                    # arrival at or after the time the block could end by itself
+                    src.blocked = full
+                    if full == "LR":
+                        t = up_starts[node][0]  # the quota frees as this packet starts
+                    else:
+                        # finite: a short-range decision needs a live entry
+                        t = routing[node].earliest_expiry(now)
+                    # a wake an earlier block pushed is still pending if it is at
+                    # or after arrival k = next_k, since the arrival before k is now
+                    if t == src.pushed_t and src.pushed_wake >= k:
+                        # that block came at an earlier arrival, so below k, and
+                        # first_k(t, lo) = max(lo, first_k(t, 0)): the wake is the same
+                        src.wake = src.pushed_wake
+                        continue
+                    # each arrival from t >= duration on is at or after the end
+                    # and never pushed, so total_k stands for the first; the
+                    # search would overflow or spin on a t far past the last arrival
+                    k = (src.total_k if t >= duration
+                         else _first_k_at_or_after(src.phase, src.period, t, k))
+                    if k == src.pushed_wake:
+                        src.wake = k
+                        continue
+                    src.pushed_wake = k
+                    src.pushed_t = t
+                src.wake = k
+                if k < src.total_k:
+                    seq += 1
+                    push(heap, (src.phase + k * src.period, ARRIVAL, node, seq, k))
+            elif kind == SR_TXEND:
+                if complete:
+                    nh, frame, receivable = payload
+                    _, start, charged = air
+                    if charged:
+                        dt = now - start
+                        sr_busy += dt
+                        sr_tx_s[node] += dt
+                    # the medium is free: the node that has waited longest starts,
+                    # and the sender, if it has frames left, waits behind every other
+                    if defer_q:
+                        head = defer_q.pop(0)[1]
+                        waiting[head] = None
+                        start_complete(head)
+                        if sr_queues[node]:  # on the air until now, so not waiting
+                            waiting[node] = now
+                            insort(defer_q, (now, node))
+                    elif sr_queues[node]:
+                        start_complete(node)
+                    else:
+                        air = None
+                else:
+                    nh, frame, covered_cs, receivable, charge = payload
+                    sr_tx[node] = False
+                    cleared = []  # (first wait time, node) of deferred nodes this end clears
+                    if charge:
+                        for j in covered_cs:
+                            c = rx_count[j] - 1
+                            rx_count[j] = c
+                            if c == 0:
+                                if tx_start[j] is None:
+                                    sr_rx_s[j] += now - rx_since[j]
+                                if waiting[j] is not None and not uncharged_count[j]:
+                                    cleared.append((waiting[j], j))
+                        sr_tx_s[node] += now - tx_start[node]
+                        tx_start[node] = None
+                        if rx_count[node] > 0:
+                            rx_since[node] = now
+                    else:
+                        for j in covered_cs:
+                            c = uncharged_count[j] - 1
+                            uncharged_count[j] = c
+                            if c == 0 and waiting[j] is not None and not rx_count[j]:
+                                cleared.append((waiting[j], j))
+                    # medium freed inside the sensing set: deferred nodes whose
+                    # view it cleared start in queue order, then the sender tries.
+                    # No other deferred node can start: between events every
+                    # deferred node senses a frame, since each frame end that
+                    # clears its view retries it.
+                    cleared.sort()
+                    for _, j in cleared:
+                        if rx_count[j] or uncharged_count[j]:
+                            continue  # an earlier start here covers it: it keeps waiting
+                        waiting[j] = None
+                        deferred -= 1
+                        start_per_node(j)
+                    if sr_queues[node]:  # the sender is neither on the air nor waiting
+                        if rx_count[node] or uncharged_count[node]:
+                            waiting[node] = now
+                            deferred += 1
+                        else:
+                            start_per_node(node)
+                # hand the finished frame to its receivers; a relay routes a packet on
+                if nh < 0:
+                    for j in receivable:
+                        routing[j].handle_beacon(node, frame, now)
+                        src = sources[j]
+                        if src is not None and src.blocked is not None:
+                            # the table changed; the batched-drop window ends here
+                            unblock(src, now)
+                elif nh in nbrs[node]:
+                    source, hops = frame
+                    if hops >= hop_budget:
+                        dropped_hops[source] += 1
+                        continue
+                    relayed[nh] += 1
+                    nxt = routing[nh].forward_decision(now)
+                    if trace is not None:
+                        trace_row(nh, nxt)
+                    if nxt is None:
+                        uplink(nh, frame)
+                        continue
+                    q = sr_queues[nh]
+                    if len(q) >= sr_cap:  # a full queue drops it against its source
+                        dropped_queue[source] += 1
+                        continue
+                    q.append((nxt, (source, hops + 1)))
+                    if len(q) == 1:  # a node with frames queued is on the air or deferred
+                        try_start(nh)
+                else:
+                    dropped_link[frame[0]] += 1
+            elif kind == BEACON:
+                q = sr_queues[node]
+                q.append((-1, routing[node].make_beacon(now)))
+                if len(q) == 1:  # as for a relay
+                    try_start(node)
+                seq += 1
+                push(heap, (now + beacon_period, _K_BEACON, node, seq, None))
+            else:
+                self.now = now
+                self._h_mobility()
+                nbrs, nbrs_cs = self.nbrs, self.nbrs_cs
+                seq += 1
+                push(heap, (now + cfg.mobility.update_interval, _K_MOBILITY, 0, seq, None))
+
+        self._seq = seq
+        for ledger in ledgers:
             ledger.close(duration)
-        sr_seconds = self._close_sr()
+        # clip the frames still on the air at the end of the run
+        if complete:
+            if air is not None and air[2]:
+                sender, start, _ = air
+                sr_busy += duration - start
+                sr_tx_s[sender] += duration - start
+            sr_seconds = [[tx, sr_busy - tx, duration - sr_busy] for tx in sr_tx_s]
+        else:
+            for j, start in enumerate(tx_start):
+                if start is not None:
+                    sr_tx_s[j] += duration - start
+                elif rx_count[j] > 0:
+                    sr_rx_s[j] += duration - rx_since[j]
+            sr_seconds = [[tx, rx, duration - tx - rx] for tx, rx in zip(sr_tx_s, sr_rx_s)]
         # arrivals due before the end that a blocked source never emitted;
         # an unblocked source emitted all of them
-        for src in self.sources:
+        for src in sources:
             if src is not None and src.blocked is not None:
-                self._unblock(src, duration)
-        in_flight = self.lr_in_flight
-        for q in self.sr_queues:
+                unblock(src, duration)
+        for q in sr_queues:
             for nh, payload in q:
                 if nh >= 0:
-                    in_flight[payload[0]] += 1
+                    lr_in_flight[payload[0]] += 1
         # data packets on the air at the end: every end-of-transmission event
         # still queued belongs to a transmission that started and never ended
         for _, kind, _, _, frame in heap:
             if kind == _K_SR_TXEND and frame[0] >= 0:
-                in_flight[frame[1][0]] += 1
+                lr_in_flight[frame[1][0]] += 1
         return self._collect([{_SR: sr, _LR: ledger.seconds[_LR]}
-                              for sr, ledger in zip(sr_seconds, self.ledgers)])
+                              for sr, ledger in zip(sr_seconds, ledgers)])
 
     def _run_benchmark(self) -> RunStats:
         """A benchmark run, without the event loop (see the module docstring)."""
@@ -870,7 +835,7 @@ class Simulator:
                 last[node] = end
             if full:
                 # the next arrival would be dropped: block until the first
-                # arrival at or after the oldest waiting start, as _h_arrival
+                # arrival at or after the oldest waiting start, as a cooperative arrival
                 t = starts[0]
                 k = (src.total_k if t >= duration
                      else _first_k_at_or_after(src.phase, src.period, t, k))
@@ -934,9 +899,6 @@ class Simulator:
 
     def _collect(self, iface_seconds: list[dict[InterfaceKind, list[float]]]) -> RunStats:
         """The run's checked RunStats, given each node's seconds per interface."""
-        # the bound MAC handlers refer back to this simulator; dropping them
-        # lets reference counting free it once the caller lets go
-        del self._try_start_sr, self._h_sr_txend
         profiles = self.cfg.power_profiles
         iface_energy = [
             {iface: interface_energy(secs, profiles[iface]) for iface, secs in node.items()}

@@ -1,9 +1,8 @@
 import gc
+import math
 import signal
 import weakref
-from collections import deque
 from dataclasses import asdict, replace
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 import pytest
@@ -17,7 +16,11 @@ from cesrsim.rng import Generator, SeedSequence
 from cesrsim.scenario import (
     Area, MtClass, Position, Scenario, ScenarioNode, generate_scenario, place_random,
 )
-from cesrsim.simcore import InvariantError, Simulator, _check_invariants, _first_k_at_or_after, run
+import cesrsim.simcore as simcore
+from cesrsim.simcore import (
+    _K_SR_TXEND, InvariantError, Simulator, _check_invariants, _first_k_at_or_after, run,
+)
+from reference import reference_run
 
 SR = InterfaceKind.SHORT_RANGE
 LR = InterfaceKind.LONG_RANGE
@@ -49,6 +52,10 @@ def test_first_k_at_or_after():
     # a floor: the first arrival not yet emitted
     assert _first_k_at_or_after(0.5, 1.0, 0.6, lo=3) == 3
     assert _first_k_at_or_after(0.5, 1.0, 10.5, lo=3) == 10
+    # t below, at and just above arrival lo itself (3.5)
+    assert _first_k_at_or_after(0.5, 1.0, 3.0, lo=3) == 3
+    assert _first_k_at_or_after(0.5, 1.0, 3.5, lo=3) == 3
+    assert _first_k_at_or_after(0.5, 1.0, math.nextafter(3.5, math.inf), lo=3) == 4
     # robust to accumulated float noise around the grid point
     assert _first_k_at_or_after(0.1, 0.1, 0.1 * 3) in (2, 3)
     k = _first_k_at_or_after(0.0, 1.0 / 3000.0, 100.0)
@@ -162,37 +169,47 @@ def _case(width, height, n, n_class_a, seed, mobile, **cfg):
     return SimConfig(runs=1, mobility=mobility, **cfg), sc
 
 
-def _assert_mac_invariants(sim):
-    """Check after every event the two facts the MAC's skipped calls rely
-    on: a node with frames queued is on the air or deferred, so dispatch
-    starts the MAC only for a node's first queued frame; and each deferred
-    node's medium view is busy, so a frame end retries only the deferred
-    nodes whose view it cleared."""
+def _execute_checked(sim):
+    """sim.execute(), checking after every event and once after the run the
+    two facts the MAC's skipped calls rely on: a node with frames queued is
+    on the air or deferred, so dispatch starts the MAC only for a node's
+    first queued frame; and each deferred node's medium view is busy, so a
+    frame end retries only the deferred nodes whose view it cleared.  The
+    check runs as each event is popped, through the module's heappop."""
+    checks = []
 
-    def check():
-        air = sim.air if sim.complete_medium else None
+    def check(heap):
+        on_air = {event[2] for event in heap if event[1] == _K_SR_TXEND}  # frame ends queued
         for j, q in enumerate(sim.sr_queues):
-            on_air = (air is not None and air[0] == j) if sim.complete_medium else sim.sr_tx[j]
-            assert not q or on_air or sim.waiting[j] is not None
-        for _, j in sim.defer_q:
-            if sim.complete_medium:
-                assert air is not None and air[0] != j
-            else:
+            assert not q or j in on_air or sim.waiting[j] is not None
+        deferred = [(w, j) for j, w in enumerate(sim.waiting) if w is not None]
+        if sim.complete_medium:
+            assert sim.defer_q == sorted(deferred)
+            assert not deferred or len(on_air) == 1 and on_air.isdisjoint(j for _, j in deferred)
+        else:
+            assert on_air == {j for j, tx in enumerate(sim.sr_tx) if tx}
+            for _, j in deferred:
                 assert sim.rx_count[j] or sim.uncharged_count[j]
+        checks.append(None)
 
-    def checked(handler):
-        def run_and_check(*args):
-            handler(*args)
-            check()
-        return run_and_check
+    def checked_heappop(heap):
+        check(heap)
+        return heappop(heap)
 
-    # instance attributes shadow the methods execute() looks up
-    for name in ("_h_arrival", "_h_sr_txend", "_h_beacon_due", "_h_mobility"):
-        setattr(sim, name, checked(getattr(sim, name)))
+    heappop = simcore.heappop
+    simcore.heappop = checked_heappop
+    try:
+        rs = sim.execute()
+    finally:
+        simcore.heappop = heappop
+    check(sim.heap)
+    if sim.coop:  # every pushed event is popped or left on the heap
+        assert len(checks) == sim._seq - len(sim.heap) + 1
+    return rs
 
 
 @st.composite
-def _cases(draw):
+def _cases(draw, beacon_max=1.0):
     n = draw(st.integers(2, 10))
     cap = st.integers(1, 50)
     return _case(
@@ -205,7 +222,7 @@ def _cases(draw):
         mode=draw(st.sampled_from(Mode)),
         duration=draw(st.floats(0.5, 2.0)),
         cbr_rate=draw(st.sampled_from([200.0, 1000.0, 3000.0])),
-        beacon_period=draw(st.floats(0.2, 1.0)),
+        beacon_period=draw(st.floats(0.2, beacon_max)),
         cs_range_factor=draw(st.floats(1.0, 6.0)),
         sr_queue_cap=draw(cap),
         uplink_queue_cap_per_node=draw(cap),
@@ -262,8 +279,7 @@ def _cases(draw):
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     cfg, sc = case
     sim = Simulator(cfg, sc, 0)
-    _assert_mac_invariants(sim)
-    fast = sim.execute()
+    fast = _execute_checked(sim)
     assert run(cfg, sc, 0, trace=[]) == fast
     for i in range(fast.n_nodes):
         assert fast.generated[i] == (
@@ -277,8 +293,7 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
     # the complete-medium path against the per-node path on the same inputs
     sim = Simulator(cfg, sc, 0)
     sim._use_sr_path(False)
-    _assert_mac_invariants(sim)
-    _assert_equal_up_to_rounding(fast, sim.execute())
+    _assert_equal_up_to_rounding(fast, _execute_checked(sim))
     if cfg.mode is Mode.COOPERATIVE:
         # one transmission on the air at a time
         total_tx = sum(secs[SR][TX] for secs in fast.iface_seconds)
@@ -287,58 +302,15 @@ def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
             assert secs[SR][TX] + secs[SR][RX] == pytest.approx(total_tx, rel=1e-9)
 
 
-def _reference_uplink(cfg, sc):
-    """Benchmark mode as a plain event loop: one event per arrival and per
-    completion, one FIFO queue with a per-source quota and no blocking.
-    Returns the packet counts, each node's long-range [TX, RX, IDLE] seconds
-    and the completion times."""
-    sim = Simulator(cfg, sc, 0)
-    n, duration, cap = sim.n, cfg.duration, cfg.uplink_queue_cap_per_node
-    generated, delivered, dropped, waiting, tx = [0] * n, [0] * n, [0] * n, [0] * n, [0.0] * n
-    # (time, 0 = completion | 1 = arrival, node, k): a completion goes first
-    heap = [(s.phase, 1, s.node, 0) for s in sim.sources if s is not None and s.total_k > 0]
-    heapify(heap)
-    queue, serving, ends = deque(), None, []  # serving: (node, start)
-    while heap and heap[0][0] < duration:
-        t, kind, node, k = heappop(heap)
-        if kind == 0:
-            delivered[node] += 1
-            tx[node] += t - serving[1]
-            ends.append(t)
-            serving = None
-            if not queue:
-                continue
-            node = queue.popleft()
-            waiting[node] -= 1
-        else:
-            src = sim.sources[node]
-            generated[node] += 1
-            if k + 1 < src.total_k:
-                heappush(heap, (src.phase + (k + 1) * src.period, 1, node, k + 1))
-            if serving is not None:
-                if waiting[node] < cap:
-                    waiting[node] += 1
-                    queue.append(node)
-                else:
-                    dropped[node] += 1
-                continue
-        serving = (node, t)
-        heappush(heap, (t + sim.svc_lr[node], 0, node, 0))
-    in_flight = waiting[:]
-    if serving is not None:
-        in_flight[serving[0]] += 1
-        tx[serving[0]] += duration - serving[1]
-    seconds = [[x, 0.0, duration - x] for x in tx]
-    return (generated, delivered, dropped, in_flight), seconds, ends
-
-
 def _assert_matches_reference(cfg, sc):
-    counts, seconds, ends = _reference_uplink(cfg, sc)
+    ends = []
+    ref = reference_run(cfg, sc, ends=ends)
     for trace in (None, []):  # a traced benchmark run blocks too
         rs = run(cfg, sc, 0, trace=trace)
-        assert (rs.generated, rs.delivered_pkts, rs.dropped_queue, rs.in_flight) == counts
-        for got, want in zip(rs.iface_seconds, seconds):
-            assert got[LR] == pytest.approx(want, rel=1e-12)
+        assert ((rs.generated, rs.delivered_pkts, rs.dropped_queue, rs.in_flight)
+                == (ref.generated, ref.delivered_pkts, ref.dropped_queue, ref.in_flight))
+        for got, want in zip(rs.iface_seconds, ref.iface_seconds):
+            assert got[LR] == pytest.approx(want[LR], rel=1e-12)
     return ends
 
 
@@ -359,6 +331,22 @@ def test_benchmark_uplink_matches_plain_reference(n, n_class_a, seed, cap, cbr_r
     # a run that ends as a packet does leaves that packet in flight
     if ends:
         _assert_matches_reference(replace(cfg, duration=ends[len(ends) // 2]), sc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cases(beacon_max=5.0))
+# complete sensing graph, saturated: blocks, batched drops and hand-overs
+@example(case=_case(60.0, 20.0, 10, 2, 5, mobile=False, mode=Mode.COOPERATIVE,
+                    duration=1.0, cbr_rate=3000.0, beacon_period=0.2,
+                    uplink_queue_cap_per_node=3))
+# partial sensing with moving nodes: spatial reuse, link drops, lost beacons
+@example(case=_case(100.0, 50.0, 10, 3, 11, mobile=True, mode=Mode.COOPERATIVE,
+                    duration=1.0, cbr_rate=1000.0, beacon_period=0.2, cs_range_factor=1.5,
+                    sr_queue_cap=5, beacon_energy_counted=True))
+def test_simulator_matches_plain_reference(case):
+    # the reference has no blocking, batched drops or complete-medium path
+    cfg, sc = case
+    _assert_equal_up_to_rounding(run(cfg, sc, 0), reference_run(cfg, sc))
 
 
 def test_benchmark_pushes_only_arrivals_it_accepts():

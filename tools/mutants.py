@@ -34,6 +34,7 @@ CONSERVATION = "tests/test_simcore.py::test_packet_conservation_per_source"
 RNG = "tests/test_rng.py"
 TRACE_ORACLE = "tests/test_output.py::test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows"
 BENCHMARK_REFERENCE = "tests/test_simcore.py::test_benchmark_uplink_matches_plain_reference"
+REFERENCE = "tests/test_simcore.py::test_simulator_matches_plain_reference"
 
 
 class Mutant(NamedTuple):
@@ -57,39 +58,38 @@ MUTANTS = (
     ),
     Mutant(
         "hand-over-slots-counted-with-head-queued", SIMCORE,
-        """            head = defer_q.pop(0)[1]
-            self.waiting[head] = None
-            self._start_sr_complete(head)
+        """                        head = defer_q.pop(0)[1]
+                        waiting[head] = None
+                        start_complete(head)
 """,
-        """            head = defer_q[0][1]
-            self.waiting[head] = None
-            self._start_sr_complete(head)
-            defer_q.pop(0)
+        """                        head = defer_q[0][1]
+                        waiting[head] = None
+                        start_complete(head)
+                        defer_q.pop(0)
 """,
         (PROPERTY,),
     ),
     Mutant(
         "complete-start-without-unblock", SIMCORE,
-        """            self._unblock(src, now)  # a queue slot just freed
-        if nh < 0:
-            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
-        else:
-            charge, dur = True, self.dur_sr_data
-        dur +=""",
-        """            pass
-        if nh < 0:
-            charge, dur = self.cfg.beacon_energy_counted, self.dur_sr_beacon
-        else:
-            charge, dur = True, self.dur_sr_data
-        dur +=""",
+        """                unblock(src, now)  # a queue slot just freed
+            if nh < 0:
+                charge, dur = beacon_charged, dur_beacon
+            else:
+                charge, dur = True, dur_data
+            dur += slot * len(defer_q)""",
+        """                pass
+            if nh < 0:
+                charge, dur = beacon_charged, dur_beacon
+            else:
+                charge, dur = True, dur_data
+            dur += slot * len(defer_q)""",
         (PROPERTY,),
     ),
     Mutant(
         "per-node-defer-overwrites-first-wait", SIMCORE,
-        """            if waiting[node] is None:
-                waiting[node] = now""",
-        """            if True:
-                waiting[node] = now""",
+        # a cleared node that an earlier start covered again keeps its first wait
+        "                            continue  # an earlier start here covers it: it keeps waiting\n",
+        "                            waiting[j] = now\n                            continue\n",
         (PROPERTY,),
     ),
     Mutant(
@@ -100,30 +100,30 @@ MUTANTS = (
     ),
     Mutant(
         "wake-searched-past-the-end", SIMCORE,
-        "k = (src.total_k if t >= self.duration",
-        "k = (src.total_k if False",
+        "                    k = (src.total_k if t >= duration\n",
+        "                    k = (src.total_k if False\n",
         ("tests/test_simcore.py::test_block_that_cannot_end_before_the_run_does_finishes",),
     ),
     # --- the uplink booking of a source's own packet
     Mutant(
         "relay-taken-slot-drop-uncounted", SIMCORE,
-        """                    # relayed packets of this source took the slot that freed
-                    self.dropped_queue[node] += 1
+        """                            # relayed packets of this source took the slot that freed
+                            dropped_queue[node] += 1
 """,
-        """                    # relayed packets of this source took the slot that freed
+        """                            # relayed packets of this source took the slot that freed
 """,
         (CONSERVATION, PROPERTY),
     ),
     Mutant(
         "lr-wake-at-newest-waiting-start", SIMCORE,
-        "t = self.up_starts[node][0]",
-        "t = self.up_starts[node][-1]",
+        "t = up_starts[node][0]",
+        "t = up_starts[node][-1]",
         (PROPERTY,),
     ),
     Mutant(
         "relay-served-at-source-rate", SIMCORE,
-        "end = self.up_end = start + self.svc_lr[sender]",
-        "end = self.up_end = start + self.svc_lr[source]",
+        "end = up_end = start + svc_lr[sender]",
+        "end = up_end = start + svc_lr[source]",
         ("tests/test_acceptance.py::test_criterion_5_gain_vs_traffic",),
     ),
     # --- the benchmark kernel, against the plain uplink reference and the trace oracle
@@ -171,10 +171,10 @@ MUTANTS = (
     # --- the end-of-run invariants: tests that check neither quantity
     Mutant(
         "sr-full-drop-uncounted", SIMCORE,
-        """                self.dropped_queue[node] += 1
-                full = "SR"
+        """                        dropped_queue[node] += 1
+                        full = "SR"
 """,
-        """                full = "SR"
+        """                        full = "SR"
 """,
         ("tests/test_simcore.py::test_goodput_caps_at_uplink_capacity",),
     ),
@@ -186,14 +186,16 @@ MUTANTS = (
     ),
     Mutant(
         "uplink-books-unclipped-end", SIMCORE,
-        "self.ledgers[node].book(_LR, start, self.duration)",
-        "self.ledgers[node].book(_LR, start, end)",
+        "ledgers[node].book(_LR, start, duration)",
+        "ledgers[node].book(_LR, start, end)",
         ("tests/test_simcore.py::test_goodput_caps_at_uplink_capacity",),
     ),
     Mutant(
         "finished-run-keeps-mac-handlers", SIMCORE,
-        "        del self._try_start_sr, self._h_sr_txend\n",
-        "",
+        # a nested function that refers to the simulator, stored on it: a cycle
+        "        ARRIVAL, SR_TXEND, BEACON = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON\n",
+        "        self._row = trace_row\n"
+        "        ARRIVAL, SR_TXEND, BEACON = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON\n",
         ("tests/test_simcore.py::test_finished_simulator_is_freed_without_the_cycle_collector",),
     ),
     # --- a long-range booking skipped as a whole: the airtime invariant
@@ -205,15 +207,62 @@ MUTANTS = (
     ),
     Mutant(
         "arrival-skips-booking", SIMCORE,
-        "self.ledgers[node].book(_LR, start, end)",
+        "ledgers[node].book(_LR, start, end)",
         "pass",
         (CONSERVATION,),
     ),
     Mutant(
         "uplink-skips-booking", SIMCORE,
-        "self.ledgers[sender].book(_LR, start, end)",
+        "ledgers[sender].book(_LR, start, end)",
         "pass",
         ("tests/test_simcore.py::test_cooperative_relays_through_cheap_uplinks",),
+    ),
+    # --- the per-node deferral count and the relay enqueue
+    Mutant(
+        "relay-enqueue-skips-first-frame-start", SIMCORE,
+        """                    if len(q) == 1:  # a node with frames queued is on the air or deferred
+                        try_start(nh)""",
+        """                    if False:
+                        try_start(nh)""",
+        (PROPERTY,),
+    ),
+    Mutant(
+        "per-node-start-keeps-deferred-count", SIMCORE,
+        """                        waiting[j] = None
+                        deferred -= 1
+""",
+        """                        waiting[j] = None
+""",
+        (REFERENCE,),
+    ),
+    Mutant(
+        "cleared-retry-without-view-check", SIMCORE,
+        """                        if rx_count[j] or uncharged_count[j]:
+                            continue  # an earlier start here covers it: it keeps waiting
+""",
+        "",
+        (PROPERTY,),
+    ),
+    # --- the cooperative reference simulator
+    Mutant(
+        "uplink-quota-off-by-one", SIMCORE,
+        """                if len(starts) >= up_cap:
+                    dropped_queue[source] += 1""",
+        """                if len(starts) > up_cap:
+                    dropped_queue[source] += 1""",
+        (REFERENCE,),
+    ),
+    Mutant(
+        "rx-credit-dropped", SIMCORE,
+        "sr_rx_s[j] += now - rx_since[j]",
+        "pass",
+        (REFERENCE,),
+    ),
+    Mutant(
+        "contention-slot-counted-twice", SIMCORE,
+        "dur += slot * deferred",
+        "dur += 2 * slot * deferred",
+        (REFERENCE,),
     ),
     # --- rng.py against numpy
     Mutant(
@@ -243,8 +292,8 @@ MUTANTS = (
     # --- equivalent
     Mutant(
         "sr-wake-strictly-after-expiry", SIMCORE,
-        "t = self.routing[node].earliest_expiry(now)",
-        "t = math.nextafter(self.routing[node].earliest_expiry(now), math.inf)",
+        "t = routing[node].earliest_expiry(now)",
+        "t = math.nextafter(routing[node].earliest_expiry(now), math.inf)",
         ("tests/test_simcore.py",),
         equivalent=(
             "best_neighbor keeps an entry live through its expiry instant, so an "
