@@ -21,7 +21,6 @@ from pathlib import Path
 from .config import ConfigError, Mode, SimConfig, load_config
 from .metrics import ZeroDeliveryError, energy_efficiency, gain
 from .output import (
-    TRACE_CHUNK_ROWS,
     ensure_dir,
     write_aggregate_csv,
     write_ledger_csv,
@@ -47,22 +46,16 @@ EXIT_INVALID = 2
 
 
 class _ChunkedTrace(list):
-    """The trace list of one run that writes its rows to the run's CSV
-    through write_trace_csv every TRACE_CHUNK_ROWS rows and then clears
-    itself, so a traced run's memory does not grow with its length.  The
-    first write makes the file; flush() writes the rows left at the end.
-    extend() writes the rows it is given at once, with any held before
-    them: a benchmark run hands over its rows in sorted windows."""
+    """The trace list of one run, which writes the rows it is given to the
+    run's CSV through write_trace_csv and then clears itself.  A run hands
+    over its rows in sorted windows of at most TRACE_CHUNK_ROWS, so a traced
+    run's memory does not grow with its length.  The first write makes the
+    file; flush() at the end makes it if no row came."""
 
     def __init__(self, path: Path):
         super().__init__()
         self.path = path
         self.started = False  # the file and its header are written
-
-    def append(self, row) -> None:
-        list.append(self, row)
-        if len(self) == TRACE_CHUNK_ROWS:
-            self.flush()
 
     def extend(self, rows) -> None:
         list.extend(self, rows)
@@ -96,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--trace", action="store_true",
-                   help="per-packet routing decision trace (disables drop batching "
-                        "in cooperative runs; a benchmark trace is its arrival schedule)")
+                   help="per-packet routing decision trace: one row per packet generated "
+                        "or relayed")
     p.add_argument("--mobility-trace", action="store_true",
                    help="node positions at every mobility update")
 

@@ -32,7 +32,7 @@ TRACE_COLUMNS = ["time", "node_id", "decision", "next_hop", "eq1_cost", "lr_cost
 MOBILITY_TRACE_COLUMNS = ["time", "node_id", "x", "y"]
 REPORT_COLUMNS = ["config_label", "mode", "runs", "eb_per_mb", "goodput_mbps", "gain_vs_benchmark"]
 
-# Trace rows a traced run holds at most before they are written: about 0.5 MB.
+# Trace rows a traced run hands over at most at once: about 0.5 MB.
 TRACE_CHUNK_ROWS = 4096
 
 _IFACE_NAMES = {InterfaceKind.SHORT_RANGE: "SR", InterfaceKind.LONG_RANGE: "LR"}

@@ -4,32 +4,27 @@ One run simulates CBR sources, periodic beaconing, short-range relaying and
 a shared long-range uplink over [0, duration) seconds:
 
 * Long-range MAC abstraction: a single FIFO server at the base station.
-  Each packet's service time is size / lr_rate(sending node's class); the
-  sending node's long-range radio is in TX for the service interval.
-  Admission to the waiting queue is a per-source quota (mirroring
-  per-connection uplink grants); arrivals beyond a source's quota are
-  dropped and counted against that source.  The server is FIFO with fixed
-  service times, so a packet is booked in full on acceptance: it starts now
-  or when the last accepted packet ends, its sender's ledger books that
-  future interval as TX (up to the end of the run, if the packet is still on
-  the air then), and it is delivered if it ends before the run does.  No
+  A packet's service time is size / lr_rate(sender's class), with the
+  sender's long-range radio in TX.  Admission to the waiting queue is a
+  per-source quota (like per-connection uplink grants); arrivals beyond it
+  are dropped against their source.  Service times are fixed, so a packet
+  is booked in full on acceptance: it starts now or when the last accepted
+  packet ends, its sender's ledger books that interval as TX (up to the end
+  of the run), and it is delivered if it ends before the run does.  No
   event marks a completion.
 
 * Short-range MAC abstraction: protocol-model interference with a sensing
   range larger than the delivery range (cs_range_factor * tx_range, like a
   CSMA carrier-sense threshold).  A transmission occupies the medium for
-  every node within sensing range of the sender; the sender is in TX and
-  sensing-range nodes in RX for the occupancy interval (a busy medium view
-  means the radio is capturing a signal), while decoding a beacon or a
-  unicast still requires being within tx_range.
-  A node with queued traffic defers while its local medium view is busy;
-  a frame end retries, in (first wait time, node id) order, each deferred
-  node whose view it cleared.
-  Both neighbour lists are ``connectivity_graph`` over the one position
-  list, rebuilt at each mobility step.  Unicast data delivery fails silently
-  if the target is out of range at completion; beacons are lost at nodes
-  whose medium view was busy (or that were themselves transmitting) when the
-  beacon started.
+  every node within sensing range of the sender: the sender is in TX and
+  those nodes in RX (a busy view means the radio is capturing a signal),
+  while decoding a beacon or a unicast needs tx_range.  A node with queued
+  traffic defers while its medium view is busy; a frame end retries, in
+  (first wait time, node id) order, each deferred node whose view it
+  cleared.  Both neighbour lists are ``connectivity_graph`` over the one
+  position list, rebuilt at each mobility step.  A unicast fails silently
+  if the target is out of range at its end; a beacon is lost at nodes whose
+  view was busy (or that were transmitting) when it started.
 
 * Everything queued, on the air or delivered is a plain value.  A packet is
   (source, hops); enqueueing it for a short-range hop queues a copy with
@@ -45,30 +40,26 @@ a shared long-range uplink over [0, duration) seconds:
   rest of the run; frames on the air at the end are clipped there.
 
 * Complete-medium path: when the area's diagonal is within the sensing
-  range and every node starts inside the area, every node senses every
-  other for the whole run, since nodes never leave the area.  At most one
-  transmission is then on the air at a time (the protocol interference
-  model of Gupta & Kumar, IEEE Trans. IT 2000), so the MAC keeps the frame
-  on the air and one sum ``busy`` of charged airtime, and at the end sets
-  each node's RX = busy - own TX and IDLE = duration - busy, with no
-  per-frame work for the n - 1 receivers.  A frame end hands the medium to
-  the head of the deferral queue itself: it starts the head's frame, whose
-  airtime counts one contention slot per node still deferring after it, and
-  queues the sender behind it if the sender has frames left.  A beacon
-  reaches every node within tx_range of its sender, since no other radio is
-  busy when a frame starts.
-  The path is chosen once per run in ``Simulator.__init__``; every other
-  input takes the per-node path.
+  range and every node starts inside the area (nodes never leave it), every
+  node senses every other all run, so at most one transmission is on the
+  air (the protocol model of Gupta & Kumar, IEEE Trans. IT 2000).  The MAC
+  keeps the frame on the air and one sum ``busy`` of charged airtime, and
+  at the end sets each node's RX = busy - own TX and IDLE = duration - busy,
+  with no per-frame work for the receivers.  A frame end starts the head of
+  the deferral queue itself, with one contention slot per node still
+  deferring, and queues the sender behind it if it has frames left.  A
+  beacon reaches every node within tx_range of its sender, since no other
+  radio is busy.  ``Simulator.__init__`` chooses the path once per run.
 
 Determinism: a single event queue ordered by (time, event kind, node id,
 sequence number); all randomness comes from per-run child streams of
 SeedSequence(master_seed, spawn_key=(run_index,)) in ``rng.py``.
 
-Saturated CBR sources are handled with an exact fast path.  A source blocks
-as soon as one of its own packets finds its target full, or is accepted and
-leaves it full: the uplink busy with the source's whole quota waiting, or the
-node's short-range queue at its cap after the MAC had its chance to start a
-frame.  Every arrival would then be dropped identically until one of these:
+Saturated CBR sources take an exact fast path.  A source blocks as soon as
+one of its own packets finds its target full, or is accepted and leaves it
+full: the uplink busy with the source's whole quota waiting, or the node's
+short-range queue at its cap after the MAC could start a frame.  Every
+arrival would then be dropped identically until one of these:
 
 * a beacon updates the node's table, or the node pops the head of its
   short-range queue; either unblocks the source at once;
@@ -80,48 +71,54 @@ frame.  Every arrival would then be dropped identically until one of these:
   block, which pushes the source's first arrival from then on as its wake,
   unless an earlier block already pushed that arrival.
 
-The unblock or the wake arrival counts the drops since the block
-arithmetically and resumes per-packet arrivals.  An early or spurious
-unblock or wake only resumes the per-packet loop.  Results are identical to
-the per-packet loop without blocking, which is what a cooperative --trace
-uses.  A source has one live arrival, its wake, which is next_k while
-unblocked; an unblock can come before the wake fires, so others are stale.
+The unblock or the wake arrival resumes per-packet arrivals; an early or
+spurious one only resumes them.  Results are identical to the per-packet
+loop without blocking (``tests/reference.py``).  A source has one live
+arrival, its wake, which is next_k while unblocked; an unblock can come
+before the wake fires, so others are stale.  The arrivals a source never
+handled were dropped, which ``_collect`` counts.
 
-Cooperative runs, like benchmark runs, run in one kernel,
-``_run_cooperative``: the run's lists, clock and uplink end are locals,
-arrivals and frame ends are handled inline, and the steps several events
-share (a frame start per MAC path, an unblock, an uplink booking, a finished
-frame's delivery) are nested functions over those locals.  An arrival counts
-the batched drops, queues a short-range packet or books a long-range one
-(dropped if relayed packets of the source took the slot that freed), and
-blocks again with the next wake pushed.  A traced run never blocks and
-writes a row per decision, at a source or a relay: (time, tail), the tail
-being the rest of its CSV line (``output.trace_tail``), which each node
-formats again only when its next hop or eq1 cost changed.
+A cooperative run is one kernel, ``_run_cooperative``: the run's lists,
+clock and uplink end are locals, arrivals and frame ends are inline, and the
+steps several events share are nested functions over those locals.  An
+arrival queues a short-range packet or books a long-range one (dropped if
+relayed packets of the source took the slot that freed), and blocks again
+with the next wake pushed.
+
+--trace writes a row per routing decision, at a source or a relay: (time,
+tail), the tail being the rest of its CSV line (``output.trace_tail``).  A
+traced run blocks too.  A row's key is (time, kind, event node), the node
+being an arrival's source or a relayed frame's sender: unique keys in event
+order.
+A blocked source's dropped arrivals get rows from its arrival schedule,
+decided by its routing state at their times: a beacon ends a window before
+it changes the table, and an expiry changes only eq1, so each stretch
+between expiries has one tail.  A window writes its rows when it closes and
+at each trace edge, an event ``_edge_span`` apart that sorts first at its
+time; the rows before an edge are then final, so it sorts them and hands
+them over in one ``extend``.  Rows reaching TRACE_CHUNK_ROWS // 2 at a relay
+hand over those before its time: no hand-over exceeds TRACE_CHUNK_ROWS.
 
 Benchmark mode has no short-range traffic, routing or beacons, so
-``_run_benchmark`` runs it without the event loop: it merges the sources'
-arrivals on a heap of (time, kind, node, k) events and books each into the
-uplink by the quota, blocking and wake rules above, with no relayed packets
-to take a freed slot.  Each sender's long-range seconds are plain floats,
-summed in the order ``EnergyLedger`` sums them, so they keep their bits.  Every
-benchmark decision is LR with eq1 = inf, so a traced benchmark run blocks
-too, and its trace, one row per arrival, is written after the run from the
-arrival schedule.  Positions matter to nothing there, so mobility is stepped
-only for a mobility trace.
+``_run_benchmark`` merges the sources' arrivals on a heap of (time, kind,
+node, k) events, without the event loop, and books each into the uplink by
+the rules above, with no relayed packets to take a freed slot.  Long-range
+seconds are plain floats, summed in the order ``EnergyLedger`` sums them, so
+they keep their bits.  Every decision is LR with eq1 = inf, so the trace is
+written after the run from the arrival schedule.  Positions matter to
+nothing there, so mobility is stepped only for a mobility trace.
 
 At the end of every run ``_check_invariants`` checks per source that
 generated = delivered + dropped (queue, hops, link) + in flight, per
 interface that TX + RX + IDLE = duration, and per sender that its long-range
-TX seconds are its packets delivered on long range times its service time,
-plus part of at most one packet on the air at the end; it raises
-``InvariantError`` naming the run, the node and the quantity if one fails.
+TX seconds are its long-range packets times its service time, plus part of
+at most one on the air at the end; else it raises ``InvariantError``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -133,6 +130,7 @@ from .routing import NodeRoutingState
 from .scenario import MtClass, Scenario, connectivity_graph
 
 # Event kinds; the kind value doubles as the tie-break priority class.
+_K_EDGE = -1  # a trace edge
 _K_MOBILITY = 0
 _K_SR_TXEND = 1
 _K_BEACON = 2
@@ -158,6 +156,29 @@ class _Source:
         self.wake = 0  # k of the one live arrival
         self.pushed_wake = -1  # k of the last wake a block pushed
         self.pushed_t = -1.0  # the time that wake was computed from
+
+
+def _edge_span(sources: list[_Source | None]) -> float:
+    """The time between trace edges (inf without arrivals): w periods hold at
+    most w + 1 arrivals of each source, so at most TRACE_CHUNK_ROWS // 2."""
+    from .output import TRACE_CHUNK_ROWS  # output imports this module
+    srcs = [src for src in sources if src is not None and src.total_k > 0]
+    return (max(1, TRACE_CHUNK_ROWS // 2 // len(srcs) - 1) * srcs[0].period
+            if srcs else math.inf)
+
+
+def _arrival_rows(rows: list, src: _Source, hi: int, decide) -> None:
+    """Append the rows (time, kind, node, tail) of src's arrivals next_k ..
+    hi - 1, and move next_k to hi; decide(node, t) gives the tail of the
+    node's decision at t and the last time it holds."""
+    phase, period, node, lo = src.phase, src.period, src.node, src.next_k
+    src.next_k = hi
+    while lo < hi:
+        tail, until = decide(node, phase + lo * period)
+        k = (hi if until >= phase + (hi - 1) * period
+             else _first_k_at_or_after(phase, period, math.nextafter(until, math.inf), lo))
+        rows += [(phase + j * period, _K_ARRIVAL, node, tail) for j in range(lo, k)]
+        lo = k
 
 
 def _first_k_at_or_after(phase: float, period: float, t: float, lo: int = 0) -> int:
@@ -243,17 +264,8 @@ class Simulator:
         self.scenario = scenario
         self.run_index = run_index
         self.coop = cfg.mode is Mode.COOPERATIVE
-        # --trace needs one row per routing decision, so a traced cooperative
-        # run disables the batched-drop fast path and every arrival is an event
         self.trace = trace
         self.mobility_trace = mobility_trace
-        if trace is not None:
-            # imported here: output imports this module
-            from .output import trace_tail
-            self._trace_tail = trace_tail
-            # per node: (next hop, eq1, tail) of its last row; nan never
-            # equals eq1, so a node's first row formats its tail
-            self._trace_tails = [(None, math.nan, "")] * scenario.n_nodes
 
         n = scenario.n_nodes
         self.n = n
@@ -286,7 +298,6 @@ class Simulator:
             ]
 
         # shared long-range uplink: FIFO service, per-source admission quota
-        # (mirrors per-connection grants; total backlog is still cap * n)
         self.up_end = 0.0  # end of the last accepted packet's service
         self.up_starts = [deque() for _ in range(n)]  # per source: starts of waiting packets
         self.up_cap = cfg.uplink_queue_cap_per_node
@@ -332,9 +343,7 @@ class Simulator:
         if cfg.mobility is not None:
             self.mob_states = mob.init_states(self.pos, cfg.mobility, self.rng_mob)
 
-        # Two nodes inside the area are at most its diagonal apart and nodes
-        # never leave it, so then every node senses every other for the whole
-        # run.  A scenario file may place nodes outside its area.
+        # the complete-medium test (a scenario file may place nodes outside)
         w, h = scenario.area.width, scenario.area.height
         inside = all(0.0 <= p.x <= w and 0.0 <= p.y <= h for p in self.pos)
         self._use_sr_path(inside and w * w + h * h <= self.cs_range * self.cs_range)
@@ -362,19 +371,6 @@ class Simulator:
         # the complete-medium path reads no sensing-range lists
         self.nbrs_cs = ([[] for _ in range(self.n)] if self.complete_medium
                         else connectivity_graph(self.pos, self.cs_range))
-
-    def _trace_row(self, node: int, nh: int | None) -> None:
-        """Append the --trace row (time, tail) of the routing decision `nh`
-        at `node`.  The tail is formatted again only when the node's next
-        hop or eq1 changed: lr_cost is fixed per node, and equal positive
-        floats print alike."""
-        now = self.now
-        eq1 = self.routing[node].best_neighbor(now)[1]
-        last = self._trace_tails[node]
-        if last[1] != eq1 or last[0] != nh:
-            last = self._trace_tails[node] = (
-                nh, eq1, self._trace_tail(node, nh, eq1, self.lr_cost[node]))
-        self.trace.append((now, last[2]))
 
     def _h_mobility(self) -> None:
         """Step every node at self.now and rebuild the neighbour lists."""
@@ -425,17 +421,35 @@ class Simulator:
             if src is not None and src.total_k > 0:
                 seq += 1
                 push(heap, (src.phase, _K_ARRIVAL, src.node, seq, 0))
+        rows = []  # rows not handed over yet: (time, kind, node, tail)
+        if trace is not None:
+            from .output import TRACE_CHUNK_ROWS, trace_tail
+            # per node: (next hop, eq1, tail) of its last row; nan equals no eq1
+            tails = [(None, math.nan, "")] * n
+            span = _edge_span(sources)
+            if span < duration:
+                seq += 1
+                push(heap, (span, _K_EDGE, 0, seq, 1))
+
+        def decide(node, t):
+            """The tail of the node's decision at t, formatted again only when
+            its next hop or eq1 changed, and the last time it holds."""
+            r = routing[node]
+            nh, eq1 = r.best_neighbor(t)
+            if eq1 >= r.lr_cost:
+                nh = None
+            last = tails[node]
+            if last[1] != eq1 or last[0] != nh:
+                last = tails[node] = (nh, eq1, trace_tail(node, nh, eq1, r.lr_cost))
+            return last[2], r.earliest_expiry(t)
 
         def unblock(src, tmin):
-            """End a block at the first arrival at or after tmin, which becomes
-            the live one: every arrival before it was dropped."""
+            """End a block at the first arrival at or after tmin, from then on
+            the live one."""
             nonlocal seq
             k = _first_k_at_or_after(src.phase, src.period, tmin, src.next_k)
-            if k > src.total_k:
-                k = src.total_k
-            batched = k - src.next_k
-            generated[src.node] += batched
-            dropped_queue[src.node] += batched
+            if trace is not None:
+                _arrival_rows(rows, src, k, decide)
             src.next_k = k
             src.blocked = None
             src.wake = k
@@ -490,8 +504,8 @@ class Simulator:
             if nh < 0:  # a beacon is delivered where a decode-range view is clear
                 receivable = [j for j in nbrs[node]
                               if not (sr_tx[j] or rx_count[j] or uncharged_count[j])]
-            # sensing: blocking + RX energy; _rebuild_neighbors assigns new lists
-            # and never mutates old ones, so this reference is a snapshot
+            # sensing: blocking + RX energy; a snapshot, since _rebuild_neighbors
+            # never mutates a list it has assigned
             covered_cs = nbrs_cs[node]
             sr_tx[node] = True
             if charge:
@@ -534,8 +548,7 @@ class Simulator:
                 charge, dur = True, dur_data
             dur += slot * len(defer_q)
             air = (node, now, charge)
-            # no other radio is busy, so every decode-range neighbour receives;
-            # _rebuild_neighbors never mutates a list it has assigned
+            # no other radio is busy, so every decode-range neighbour receives
             seq += 1
             push(heap, (now + dur, _K_SR_TXEND, node, seq, (nh, payload, nbrs[node])))
 
@@ -550,11 +563,7 @@ class Simulator:
 
         try_start = try_start_complete if complete else try_start_per_node
 
-        def trace_row(node, nh):
-            self.now = now
-            self._trace_row(node, nh)
-
-        ARRIVAL, SR_TXEND, BEACON = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON
+        ARRIVAL, SR_TXEND, BEACON, EDGE = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON, _K_EDGE
         while heap and heap[0][0] < duration:
             now, kind, node, _, payload = pop(heap)
             if kind == ARRIVAL:
@@ -564,17 +573,14 @@ class Simulator:
                 if payload != src.wake:
                     continue  # stale: an unblock superseded it
                 k = payload
-                if src.blocked is not None:
-                    # every arrival since the block was dropped
-                    batched = k - src.next_k
-                    generated[node] += batched
-                    dropped_queue[node] += batched
-                    src.blocked = None
-                src.next_k = k + 1
-                generated[node] += 1
-                nh = routing[node].forward_decision(now)
                 if trace is not None:
-                    trace_row(node, nh)
+                    if src.blocked is not None:  # the arrivals dropped since the block
+                        _arrival_rows(rows, src, k, decide)
+                    rows.append((now, ARRIVAL, node, decide(node, now)[0]))
+                src.blocked = None
+                src.next_k = k + 1
+                generated[node] += 1  # arrivals handled: _collect counts the rest
+                nh = routing[node].forward_decision(now)
                 if nh is not None:
                     # a relay's enqueue in place, reporting a full queue
                     q = sr_queues[node]
@@ -587,8 +593,7 @@ class Simulator:
                         dropped_queue[node] += 1
                         full = "SR"
                 else:
-                    # uplink(node, (node, 0)) in place: on saturated runs most
-                    # arrivals are a blocked source's wake, booked here and blocked again
+                    # uplink(node, (node, 0)) in place, reporting a full quota
                     start = up_end
                     full = None
                     if now < start:
@@ -618,7 +623,7 @@ class Simulator:
                                 ledgers[node].book(_LR, start, duration)
                             lr_in_flight[node] += 1
                 k += 1
-                if full is not None and trace is None:  # a traced run never blocks
+                if full is not None:
                     # the next arrival would be dropped: block until the first
                     # arrival at or after the time the block could end by itself
                     src.blocked = full
@@ -713,11 +718,11 @@ class Simulator:
                 # hand the finished frame to its receivers; a relay routes a packet on
                 if nh < 0:
                     for j in receivable:
-                        routing[j].handle_beacon(node, frame, now)
                         src = sources[j]
                         if src is not None and src.blocked is not None:
-                            # the table changed; the batched-drop window ends here
+                            # the table changes: the batched-drop window ends here
                             unblock(src, now)
+                        routing[j].handle_beacon(node, frame, now)
                 elif nh in nbrs[node]:
                     source, hops = frame
                     if hops >= hop_budget:
@@ -726,7 +731,9 @@ class Simulator:
                     relayed[nh] += 1
                     nxt = routing[nh].forward_decision(now)
                     if trace is not None:
-                        trace_row(nh, nxt)
+                        rows.append((now, SR_TXEND, node, decide(nh, now)[0]))
+                        if len(rows) >= TRACE_CHUNK_ROWS // 2:
+                            self._hand_over(rows, now, decide)
                     if nxt is None:
                         uplink(nh, frame)
                         continue
@@ -746,6 +753,12 @@ class Simulator:
                     try_start(node)
                 seq += 1
                 push(heap, (now + beacon_period, _K_BEACON, node, seq, None))
+            elif kind == EDGE:
+                self._hand_over(rows, now, decide)
+                payload += 1
+                if payload * span < duration:
+                    seq += 1
+                    push(heap, (payload * span, EDGE, 0, seq, payload))
             else:
                 self.now = now
                 self._h_mobility()
@@ -770,11 +783,8 @@ class Simulator:
                 elif rx_count[j] > 0:
                     sr_rx_s[j] += duration - rx_since[j]
             sr_seconds = [[tx, rx, duration - tx - rx] for tx, rx in zip(sr_tx_s, sr_rx_s)]
-        # arrivals due before the end that a blocked source never emitted;
-        # an unblocked source emitted all of them
-        for src in sources:
-            if src is not None and src.blocked is not None:
-                unblock(src, duration)
+        if trace is not None:
+            self._hand_over(rows, duration, decide)
         for q in sr_queues:
             for nh, payload in q:
                 if nh >= 0:
@@ -797,19 +807,15 @@ class Simulator:
                 heappush(heap, (src.phase, _K_ARRIVAL, src.node, 0))
         pushes = len(heap)
         sources, svc_lr, cap, up_starts = self.sources, self.svc_lr, self.up_cap, self.up_starts
-        generated, dropped, delivered = self.generated, self.dropped_queue, self.delivered_pkts
+        generated, delivered = self.generated, self.delivered_pkts
         delivered_mb, in_flight, pkt_mb = self.delivered_mb, self.lr_in_flight, self.pkt_mb
         tx, idle, last = [0.0] * n, [0.0] * n, [0.0] * n
         up_end = 0.0
         while heap and heap[0][0] < duration:
             now, _, node, k = heappop(heap)
             src = sources[node]
-            # the arrivals since the last one the source emitted were dropped
-            batched = k - src.next_k
-            generated[node] += batched + 1
-            dropped[node] += batched
+            generated[node] += 1  # arrivals handled: _collect counts the rest
             k += 1
-            src.next_k = k
             start = up_end
             full = False
             if now < start:
@@ -843,13 +849,19 @@ class Simulator:
                 pushes += 1
                 heappush(heap, (src.phase + k * src.period, _K_ARRIVAL, node, k))
         self._seq = pushes
-        for src in srcs:
-            # arrivals due before the end that a blocked source never emitted
-            batched = src.total_k - src.next_k
-            generated[src.node] += batched
-            dropped[src.node] += batched
         if self.trace is not None:
-            self._trace_benchmark(srcs)
+            # every arrival is an LR decision with no live neighbour: the run
+            # is one window per source
+            from .output import trace_tail
+            tails = {src.node: trace_tail(src.node, None, math.inf, self.lr_cost[src.node])
+                     for src in srcs}
+            for src in srcs:
+                src.blocked = "LR"
+            rows, w, edge, span = [], 0, 0.0, _edge_span(srcs)
+            while edge < duration:
+                w += 1
+                edge = min(w * span, duration)
+                self._hand_over(rows, edge, lambda node, t: (tails[node], math.inf))
         if self.mob_states is not None and self.mobility_trace is not None:
             # at the times the cooperative event loop steps them
             params = self.cfg.mobility
@@ -865,40 +877,27 @@ class Simulator:
         return self._collect([{_LR: [tx[i], 0.0, idle[i] + (duration - last[i])]}
                               for i in range(n)])
 
-    def _trace_benchmark(self, srcs: list[_Source]) -> None:
-        """Hand a benchmark run's rows, its arrivals in the event loop's
-        (time, node) order, to the trace in windows of time, each sorted on
-        its own; a window's keys and rows stay within TRACE_CHUNK_ROWS."""
-        from .output import TRACE_CHUNK_ROWS
-        srcs = [src for src in srcs if src.total_k > 0]
-        if not srcs:
-            return
-        duration = self.duration
-        tails = {src.node: self._trace_tail(src.node, None, math.inf, self.lr_cost[src.node])
-                 for src in srcs}
-        # every source has the same period, and a window of w periods holds
-        # at most w + 1 arrivals of each
-        span = max(1, TRACE_CHUNK_ROWS // 2 // len(srcs) - 1) * srcs[0].period
-        lo = [0] * len(srcs)
-        edge, w = 0.0, 0
-        while edge < duration:
-            w += 1
-            edge = w * span
-            keys = []
-            for i, src in enumerate(srcs):
-                phase, period, node = src.phase, src.period, src.node
-                hi = (src.total_k if edge >= duration
-                      else _first_k_at_or_after(phase, period, edge, lo[i]))
-                keys += [(phase + k * period, node) for k in range(lo[i], hi)]
-                lo[i] = hi
-            keys.sort()
-            self.trace.extend([(t, tails[node]) for t, node in keys])
+    def _hand_over(self, rows: list, t: float, decide) -> None:
+        """Write each open window's rows before t, then hand the trace every
+        row before t, sorted by key, as (time, tail)."""
+        for src in self.sources:
+            if src is not None and src.blocked is not None:
+                k = _first_k_at_or_after(src.phase, src.period, t, src.next_k)
+                _arrival_rows(rows, src, k, decide)
+        rows.sort()
+        i = bisect_left(rows, (t,))
+        self.trace.extend([(row[0], row[3]) for row in rows[:i]])
+        del rows[:i]
 
     def _trace_positions(self, t: float) -> None:
         self.mobility_trace.extend((t, i, p.x, p.y) for i, p in enumerate(self.pos))
 
     def _collect(self, iface_seconds: list[dict[InterfaceKind, list[float]]]) -> RunStats:
         """The run's checked RunStats, given each node's seconds per interface."""
+        for src in self.sources:  # the arrivals a source did not handle were dropped
+            if src is not None:
+                self.dropped_queue[src.node] += src.total_k - self.generated[src.node]
+                self.generated[src.node] = src.total_k
         profiles = self.cfg.power_profiles
         iface_energy = [
             {iface: interface_energy(secs, profiles[iface]) for iface, secs in node.items()}

@@ -24,6 +24,10 @@ completion, with no blocking, no batched drops and no complete-medium path:
   decode range (a link drop otherwise), where the hop budget is checked
   and the packet routed again.  A frame lasts its size / the short-range
   rate plus one contention slot per node deferred at its start.
+* Trace: each routing decision, at an arrival or at a relay, appends the
+  row (time, node, "SR" or "LR", next hop or "", eq1, lr_cost), eq1 being
+  the best via-neighbour cost of the node's routing state then (+inf in
+  benchmark mode, which has no neighbours).
 * Radio seconds: at each change, a node's short-range radio is TX while its
   own charged frame is on the air, else RX while a charged frame covers it,
   else IDLE; its long-range radio is TX while the uplink serves its packet.
@@ -31,6 +35,7 @@ completion, with no blocking, no batched drops and no complete-medium path:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
 
@@ -49,9 +54,9 @@ COMPLETION, MOBILITY, FRAME_END, BEACON, ARRIVAL = range(5)
 TX_, RX_, IDLE_ = range(3)  # short-range radio states, as list indices
 
 
-def reference_run(cfg, sc, run_index=0, ends=None):
+def reference_run(cfg, sc, run_index=0, ends=None, trace=None):
     """The RunStats of one run; the uplink's completion times are appended
-    to `ends` when it is a list."""
+    to `ends` and the trace rows to `trace` when each is a list."""
     n, duration, coop = sc.n_nodes, cfg.duration, cfg.mode is Mode.COOPERATIVE
     rates, profiles = cfg.rates, cfg.power_profiles
     lr_rate = [rates.lr_rate(node.mt_class) for node in sc.nodes]
@@ -152,6 +157,10 @@ def reference_run(cfg, sc, run_index=0, ends=None):
 
     def route(j, source, hops, t):
         nh = routing[j].forward_decision(t) if coop else None
+        if trace is not None:
+            eq1 = routing[j].best_neighbor(t)[1] if coop else math.inf
+            trace.append((t, j, "LR" if nh is None else "SR", "" if nh is None else nh,
+                          eq1, routing[j].lr_cost))
         if nh is None:
             uplink(j, source, hops, t)
         else:

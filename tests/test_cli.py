@@ -12,9 +12,9 @@ import pytest
 import yaml
 
 import cesrsim.cli
-from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, TRACE_CHUNK_ROWS, main
+from cesrsim.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from cesrsim.config import Mode, load_config
-from cesrsim.output import trace_tail, write_trace_csv
+from cesrsim.output import TRACE_CHUNK_ROWS, trace_tail, write_trace_csv
 from cesrsim.plans import SWEEP_COLUMNS
 from cesrsim.scenario import load_scenario
 from cesrsim.simcore import Simulator, run
@@ -133,8 +133,8 @@ def test_traced_run_memory_does_not_grow_with_its_length(tmp_path, scenario_file
 
 def test_failed_traced_run_leaves_no_trace_file(tmp_path, scenario_file, monkeypatch, capsys):
     def failing_run(cfg, scenario, run_index, trace=None, mobility_trace=None):
-        for k in range(5000):  # more than one chunk, so part of the file is written
-            trace.append((k * 1e-3, trace_tail(0, None, float("inf"), 1.0)))
+        # one hand-over of rows, so part of the file is written
+        trace.extend([(k * 1e-3, trace_tail(0, None, float("inf"), 1.0)) for k in range(5000)])
         raise ValueError("simulated failure")
 
     monkeypatch.setattr(cesrsim.cli, "run", failing_run)

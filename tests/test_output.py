@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from cesrsim.config import Mode, SimConfig
 from cesrsim.output import TRACE_COLUMNS, trace_tail, write_trace_csv
 from cesrsim.scenario import Area, generate_scenario
-from cesrsim.simcore import Simulator, run
+from cesrsim.simcore import Simulator
+from reference import reference_run
 
 
 def _reference_trace_csv(rows, path):
@@ -57,14 +58,6 @@ def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows):
         assert (directory / "fast.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
 
 
-def _reference_trace_row(self, node, nh):
-    """The trace row of a cooperative routing decision as a plain 6-tuple,
-    from the routing state alone: no cache."""
-    eq1 = self.routing[node].best_neighbor(self.now)[1]
-    self.trace.append((self.now, node, "SR" if nh is not None else "LR",
-                       nh if nh is not None else "", eq1, self.lr_cost[node]))
-
-
 def _reference_benchmark_trace(sim):
     """A benchmark run's trace as plain 6-tuples: every arrival of every
     source is an LR decision with no live neighbour, in (time, node) order."""
@@ -72,7 +65,7 @@ def _reference_benchmark_trace(sim):
                   for s in sim.sources if s is not None for k in range(s.total_k))
 
 
-def test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows(tmp_path, monkeypatch):
+def test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows(tmp_path):
     # 0.1 s beacons in a 0.5 s run: tables fill, so both decisions occur, and
     # a node's eq1 changes while its next hop stays the same, and the other
     # way round (a neighbour with the same cost and a lower id is heard)
@@ -84,13 +77,11 @@ def test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows(tmp_path, mo
         sim.execute()
         if mode is Mode.BENCHMARK:
             ref = _reference_benchmark_trace(sim)
-            # the sources block, so the rows cannot come from arrival events
-            assert len(ref) > 2 * sim._seq
-        else:
-            with monkeypatch.context() as m:
-                m.setattr(Simulator, "_trace_row", _reference_trace_row)
-                ref = []
-                run(cfg, sc, 0, trace=ref)
+        else:  # plain rows from the routing state at every arrival and relay
+            ref = []
+            reference_run(cfg, sc, trace=ref)
+        # the sources block, so most rows cannot come from arrival events
+        assert len(ref) > 2 * sim._seq
         assert {row[2] for row in ref} == ({"LR"} if mode is Mode.BENCHMARK else {"SR", "LR"})
         if mode is Mode.COOPERATIVE:
             # rows whose eq1 changed from the node's last row and next hop

@@ -1,3 +1,4 @@
+import csv
 import gc
 import math
 import signal
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cesrsim.config import Mode, SimConfig
 from cesrsim.energy import InterfaceKind, RadioState
 from cesrsim.mobility import MobilityParams, advance_all, init_states
+from cesrsim.output import TRACE_CHUNK_ROWS, TRACE_COLUMNS, write_trace_csv
 from cesrsim.rng import Generator, SeedSequence
 from cesrsim.scenario import (
     Area, MtClass, Position, Scenario, ScenarioNode, generate_scenario, place_random,
@@ -209,7 +211,7 @@ def _execute_checked(sim):
 
 
 @st.composite
-def _cases(draw, beacon_max=1.0):
+def _cases(draw, beacon_max=1.0, timeouts=None):
     n = draw(st.integers(2, 10))
     cap = st.integers(1, 50)
     return _case(
@@ -228,7 +230,15 @@ def _cases(draw, beacon_max=1.0):
         uplink_queue_cap_per_node=draw(cap),
         class_a_generates=draw(st.booleans()),
         beacon_energy_counted=draw(st.booleans()),
+        table_timeout=None if timeouts is None else draw(timeouts),
     )
+
+
+def _on_arrival(case, node, k):
+    """The case with its duration moved onto arrival k of `node`."""
+    cfg, sc = case
+    src = Simulator(cfg, sc, 0).sources[node]
+    return replace(cfg, duration=src.phase + k * src.period), sc
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,10 +287,12 @@ def _cases(draw, beacon_max=1.0):
     _scenario(n=20, ca=4, area=(100, 50), seed=1),
 ))
 def test_batched_drop_fast_path_matches_exact_per_packet_loop(case):
+    # the exact per-packet loop is the plain reference, one event per arrival
     cfg, sc = case
     sim = Simulator(cfg, sc, 0)
     fast = _execute_checked(sim)
-    assert run(cfg, sc, 0, trace=[]) == fast
+    _assert_equal_up_to_rounding(fast, reference_run(cfg, sc))
+    assert run(cfg, sc, 0, trace=[]) == fast  # a trace changes no result
     for i in range(fast.n_nodes):
         assert fast.generated[i] == (
             fast.delivered_pkts[i] + fast.dropped_total(i) + fast.in_flight[i]
@@ -347,6 +359,67 @@ def test_simulator_matches_plain_reference(case):
     # the reference has no blocking, batched drops or complete-medium path
     cfg, sc = case
     _assert_equal_up_to_rounding(run(cfg, sc, 0), reference_run(cfg, sc))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_cases(timeouts=st.floats(0.05, 1.0)))
+# complete sensing graph, saturated, short timeouts: long-range windows span
+# expiries, and beacons end windows
+@example(case=_case(60.0, 20.0, 10, 2, 5, mobile=False, mode=Mode.COOPERATIVE,
+                    duration=1.0, cbr_rate=3000.0, beacon_period=0.2, table_timeout=0.3))
+# the run ends on an arrival of a blocked source, which is not generated
+@example(case=_on_arrival(_case(60.0, 20.0, 10, 2, 5, mobile=False, mode=Mode.COOPERATIVE,
+                                duration=1.0, cbr_rate=3000.0, beacon_period=0.2,
+                                table_timeout=0.3), node=0, k=2000))
+@example(case=_on_arrival(_case(60.0, 20.0, 10, 2, 5, mobile=False, mode=Mode.BENCHMARK,
+                                duration=1.0, cbr_rate=3000.0), node=0, k=2000))
+def test_trace_has_the_bytes_of_csv_writer_on_the_reference_rows(tmp_path_factory, case):
+    cfg, sc = case
+    trace, ref = [], []
+    run(cfg, sc, 0, trace=trace)
+    reference_run(cfg, sc, trace=ref)
+    directory = tmp_path_factory.mktemp("trace")
+    write_trace_csv(trace, directory / "fast.csv")
+    with open(directory / "ref.csv", "w", encoding="ascii", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([TRACE_COLUMNS, *ref])
+    assert (directory / "fast.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+
+
+class _RecordingTrace(list):
+    """A trace that records the size of each hand-over and keeps no row."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def extend(self, rows):
+        self.sizes.append(len(rows))
+
+
+# a line of two class-B sources and a class-A relay, 15 m apart: node 0's
+# packets take two short-range hops, so relays make more rows than arrivals
+_RELAY_LINE = Scenario(Area(30.0, 10.0), tuple(
+    ScenarioNode(i, Position(15.0 * i, 5.0), MtClass.CLASS_A if i == 2 else MtClass.CLASS_B)
+    for i in range(3)), 20.0, Position(15.0, 5.0), 0)
+
+
+@pytest.mark.parametrize("cfg, sc", [
+    # saturated, with 5 s beacons: sources stay blocked across many trace edges
+    (SimConfig(duration=12.0, runs=1, cbr_rate=3000.0, beacon_period=5.0),
+     _scenario(n=20, ca=4, seed=1)),
+    # few sources, so an edge window is long, and most rows are relays'
+    (SimConfig(duration=3.0, runs=1, cbr_rate=3000.0, beacon_period=0.2,
+               class_a_generates=False), _RELAY_LINE),
+], ids=["saturated", "relay-line"])
+def test_traced_run_hands_over_at_most_trace_chunk_rows(cfg, sc):
+    # the bound the simcore module docstring states, whatever the duration
+    trace = _RecordingTrace()
+    sim = Simulator(cfg, sc, 0, trace=trace)
+    rs = sim.execute()
+    rows = sum(trace.sizes)
+    assert rows == sum(rs.generated) + sum(rs.relayed) > 8 * TRACE_CHUNK_ROWS
+    assert sum(rs.relayed) > 0 and sum(rs.dropped_queue) > 0
+    assert max(trace.sizes) <= TRACE_CHUNK_ROWS
 
 
 def test_benchmark_pushes_only_arrivals_it_accepts():

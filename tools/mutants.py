@@ -7,8 +7,10 @@ A mutant is one exact `old -> new` text replacement in one file under
 `src/cesrsim`, with the tests expected to kill it.  For each mutant the tool
 copies `src/`, `tests/`, `bench/`, `plans/` and `pyproject.toml` of the
 checkout it sits in to a temporary directory, applies the replacement there
-and runs `python3 -m pytest -x -q --hypothesis-seed=0` on those tests.  The
-mutant is killed when pytest reports a failure (exit code 1).  A mutant
+and runs `python3 -m pytest -x -q --hypothesis-seed=0
+--hypothesis-profile=mutants` on those tests; that profile, registered in
+`tests/conftest.py`, does not shrink a failing example.  The mutant is
+killed when pytest reports a failure (exit code 1).  A mutant
 recorded as equivalent must survive; its reason says why no test can kill
 it.  One line per mutant is printed, and the exit code is 1 if any mutant
 survives, an equivalent one is killed, an old text no longer occurs exactly
@@ -33,6 +35,7 @@ PROPERTY = "tests/test_simcore.py::test_batched_drop_fast_path_matches_exact_per
 CONSERVATION = "tests/test_simcore.py::test_packet_conservation_per_source"
 RNG = "tests/test_rng.py"
 TRACE_ORACLE = "tests/test_output.py::test_trace_csv_writes_the_bytes_of_csv_writer_on_simulated_rows"
+TRACE_REFERENCE = "tests/test_simcore.py::test_trace_has_the_bytes_of_csv_writer_on_the_reference_rows"
 BENCHMARK_REFERENCE = "tests/test_simcore.py::test_benchmark_uplink_matches_plain_reference"
 REFERENCE = "tests/test_simcore.py::test_simulator_matches_plain_reference"
 
@@ -134,16 +137,63 @@ MUTANTS = (
         (BENCHMARK_REFERENCE,),
     ),
     Mutant(
+        # the count both kernels leave to _collect
         "kernel-end-of-run-drops-skipped", SIMCORE,
-        "batched = src.total_k - src.next_k",
-        "batched = 0",
+        "self.dropped_queue[src.node] += src.total_k - self.generated[src.node]",
+        "pass",
         (BENCHMARK_REFERENCE,),
     ),
+    # --- trace rows from the arrival schedule, against the reference's rows
     Mutant(
         "kernel-trace-window-edge-off-by-one", SIMCORE,
-        "for k in range(lo[i], hi)]",
-        "for k in range(lo[i], hi + 1)]",
+        "for j in range(lo, k)]",
+        "for j in range(lo, k + 1)]",
         (TRACE_ORACLE,),
+    ),
+    Mutant(
+        "trace-lr-rows-ignore-expiries", SIMCORE,
+        "return last[2], r.earliest_expiry(t)",
+        "return last[2], math.inf",
+        (TRACE_REFERENCE,),
+    ),
+    Mutant(
+        "trace-beacon-before-window-closes", SIMCORE,
+        """                    for j in receivable:
+                        src = sources[j]
+                        if src is not None and src.blocked is not None:
+                            # the table changes: the batched-drop window ends here
+                            unblock(src, now)
+                        routing[j].handle_beacon(node, frame, now)
+""",
+        """                    for j in receivable:
+                        routing[j].handle_beacon(node, frame, now)
+                        src = sources[j]
+                        if src is not None and src.blocked is not None:
+                            unblock(src, now)
+""",
+        (TRACE_REFERENCE,),
+    ),
+    Mutant(
+        # windows written through t, and every row handed over
+        "trace-edge-emits-rows-at-its-time", SIMCORE,
+        """                k = _first_k_at_or_after(src.phase, src.period, t, src.next_k)
+                _arrival_rows(rows, src, k, decide)
+        rows.sort()
+        i = bisect_left(rows, (t,))
+""",
+        """                k = _first_k_at_or_after(src.phase, src.period, math.nextafter(t, math.inf),
+                                         src.next_k)
+                _arrival_rows(rows, src, k, decide)
+        rows.sort()
+        i = len(rows)
+""",
+        (TRACE_REFERENCE,),
+    ),
+    Mutant(
+        "trace-relay-rows-never-hand-over-early", SIMCORE,
+        "if len(rows) >= TRACE_CHUNK_ROWS // 2:",
+        "if False:",
+        ("tests/test_simcore.py::test_traced_run_hands_over_at_most_trace_chunk_rows",),
     ),
     # --- the per-node trace tail cache, against rows from the routing state
     Mutant(
@@ -160,12 +210,12 @@ MUTANTS = (
     ),
     Mutant(
         "trace-tail-shared-across-nodes", SIMCORE,
-        """        last = self._trace_tails[node]
-        if last[1] != eq1 or last[0] != nh:
-            last = self._trace_tails[node] = (""",
-        """        last = self._trace_tails[0]
-        if last[1] != eq1 or last[0] != nh:
-            last = self._trace_tails[0] = (""",
+        """            last = tails[node]
+            if last[1] != eq1 or last[0] != nh:
+                last = tails[node] = (""",
+        """            last = tails[0]
+            if last[1] != eq1 or last[0] != nh:
+                last = tails[0] = (""",
         (TRACE_ORACLE,),
     ),
     # --- the end-of-run invariants: tests that check neither quantity
@@ -192,10 +242,11 @@ MUTANTS = (
     ),
     Mutant(
         "finished-run-keeps-mac-handlers", SIMCORE,
-        # a nested function that refers to the simulator, stored on it: a cycle
-        "        ARRIVAL, SR_TXEND, BEACON = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON\n",
-        "        self._row = trace_row\n"
-        "        ARRIVAL, SR_TXEND, BEACON = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON\n",
+        # a handler bound to the simulator, stored on it: a cycle (the kernel's
+        # nested functions refer to no simulator)
+        "        ARRIVAL, SR_TXEND, BEACON, EDGE = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON, _K_EDGE\n",
+        "        self._handler = self._h_mobility\n"
+        "        ARRIVAL, SR_TXEND, BEACON, EDGE = _K_ARRIVAL, _K_SR_TXEND, _K_BEACON, _K_EDGE\n",
         ("tests/test_simcore.py::test_finished_simulator_is_freed_without_the_cycle_collector",),
     ),
     # --- a long-range booking skipped as a whole: the airtime invariant
@@ -328,7 +379,7 @@ def run_mutant(m: Mutant) -> str:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tmp / "src"), env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *m.tests],
+             "--hypothesis-seed=0", "--hypothesis-profile=mutants", *m.tests],
             cwd=tmp, env=env, capture_output=True, text=True,
         )
     if proc.returncode == 1:
